@@ -112,14 +112,17 @@ class RunConfig:
 
 
 def _parse_amplitude(value, field):
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(x, (int, float)) for x in value)
-    ):
-        return complex(value[0], value[1])
+    try:
+        if isinstance(value, (int, float)):
+            return complex(value)
+        if (
+            isinstance(value, (list, tuple))
+            and len(value) == 2
+            and all(isinstance(x, (int, float)) for x in value)
+        ):
+            return complex(value[0], value[1])
+    except OverflowError:
+        raise ParseError(f"config field {field!r}: number out of range") from None
     raise ParseError(f"config field {field!r}: expected a number or [re, im] pair")
 
 
@@ -134,7 +137,13 @@ def _parse_int(value, field, minimum=None):
 def _parse_float(value, field):
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ParseError(f"config field {field!r}: expected a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ParseError(f"config field {field!r}: expected a finite number")
+    return number
 
 
 def _parse_twists(value, field="twists"):
@@ -262,7 +271,7 @@ def parse_config(path: str | None, overrides: Mapping | None = None) -> RunConfi
 
     for label, t, r in (("1", run.t1, run.r1), ("2", run.t2, run.r2)):
         gap = abs(abs(t) ** 2 + abs(r) ** 2 - 1.0)
-        if gap > 1e-9:
+        if not (gap <= 1e-9):
             raise UnitarityViolation(
                 f"splitter {label}: |t{label}|^2 + |r{label}|^2 deviates from 1 by {gap:.3e}"
             )

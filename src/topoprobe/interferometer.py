@@ -21,6 +21,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -39,6 +40,7 @@ from .model import VACUUM, AnyonModel, Charge
 _ZERO_TOLERANCE = 1e-12
 _CLASS_TOLERANCE = 1e-9
 _UNITARITY_TOLERANCE = 1e-9
+_STREAM_CHUNK = 1024  # probes per closed-form evaluation
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -73,11 +75,13 @@ class InterferometerConfig:
     def __post_init__(self):
         for label, t, r in (("1", self.t1, self.r1), ("2", self.t2, self.r2)):
             gap = abs(abs(t) ** 2 + abs(r) ** 2 - 1.0)
-            if gap > _UNITARITY_TOLERANCE:
+            if not (gap <= _UNITARITY_TOLERANCE):
                 raise UnitarityViolation(
                     f"splitter {label} is not unitary: |t{label}|^2 + |r{label}|^2 "
                     f"deviates from 1 by {gap:.3e}"
                 )
+        if not (math.isfinite(self.theta_I) and math.isfinite(self.theta_II)):
+            raise ValueError("path phases theta_I and theta_II must be finite")
         object.__setattr__(self, "twists", tuple(int(x) for x in self.twists))
         if len(self.twists) != 2:
             raise ValueError("twists must be a pair of integers")
@@ -126,7 +130,7 @@ class AnyonicDensityMatrix:
 
     def coherence(self) -> float:
         """Largest off-diagonal magnitude relative to the largest population."""
-        return _coherence(self.matrix)
+        return float(_coherence(self.matrix))
 
     def charge_weight(self, charges) -> float:
         """Total population carried by labels whose probed charge is listed."""
@@ -135,15 +139,14 @@ class AnyonicDensityMatrix:
         return float(sum(diag[i] for i, (a, _, _) in enumerate(self.labels) if a in wanted))
 
 
-def _coherence(matrix: np.ndarray) -> float:
-    n = matrix.shape[0]
-    if n < 2:
-        return 0.0
-    off = np.abs(matrix - np.diag(np.diagonal(matrix)))
-    top = float(np.max(np.real(np.diagonal(matrix))))
-    if top <= 0.0:
-        return 0.0
-    return float(np.max(off)) / top
+def _coherence(matrices: np.ndarray) -> np.ndarray:
+    """Largest off-diagonal magnitude over the largest population, per matrix of a stack."""
+    size = matrices.shape[-1]
+    off = np.abs(matrices)
+    off[..., range(size), range(size)] = 0.0
+    peak = np.max(off, axis=(-2, -1))
+    top = np.max(np.real(np.diagonal(matrices, axis1=-2, axis2=-1)), axis=-1)
+    return np.divide(peak, top, out=np.zeros_like(peak), where=top > 0.0)
 
 
 def density_matrix(
@@ -332,10 +335,29 @@ class ProbeTrajectory:
     fraction: float = field(init=False, default=0.0)
 
     def __post_init__(self):
-        n = sum(1 for s in self.outcomes if s is ProbeOutcome.TRANSMITTED)
+        n = self.outcomes.count(ProbeOutcome.TRANSMITTED)
         object.__setattr__(self, "n_transmitted", n)
         total = len(self.outcomes)
         object.__setattr__(self, "fraction", n / total if total else 0.0)
+
+
+def _conditioned_states(rho0, p_t, p_r, n_t, n_r) -> np.ndarray:
+    """States rho0 * p_t**n * p_r**r / trace, entrywise, one per row of counts (n, r).
+
+    Log space keeps long streams from underflowing. An entry whose initial
+    value, or any factor applied to it, is exactly zero stays zero.
+    """
+    n_t, n_r = n_t[:, None, None], n_r[:, None, None]
+    logs, phases = 0.0, 0.0
+    for values, count in ((rho0, 1), (p_t, n_t), (p_r, n_r)):
+        magnitude = np.abs(values)
+        logs = logs + count * np.log(np.where(magnitude > 0.0, magnitude, 1.0))
+        logs = np.where((magnitude == 0.0) & (count > 0), -np.inf, logs)
+        phases = phases + count * np.angle(values)
+    populations = np.diagonal(logs, axis1=1, axis2=2)
+    top = np.max(populations, axis=1)
+    log_trace = top + np.log(np.sum(np.exp(populations - top[:, None]), axis=1))
+    return np.exp(logs - log_trace[:, None, None]) * np.exp(1j * phases)
 
 
 def simulate_stream(
@@ -350,43 +372,45 @@ def simulate_stream(
 
     Outcomes are drawn from the running conditional probabilities with a
     counter-based generator, so equal (seed, inputs) give bit-identical
-    trajectories. The per-entry factors do not depend on the state and are
-    computed once for the whole stream.
+    trajectories. The per-entry factors do not depend on the state, so the
+    only sequential work is one Bernoulli draw per probe on the populations,
+    renormalized by their sum. After k probes with n transmitted the state
+    is rho0 * p_t**n * p_r**(k - n) / trace entrywise; coherences, kept
+    states and the final state come from that closed form, in log space.
     """
     _require_untwisted(config)
     if n_probes < 0:
         raise ValueError("probe count must be nonnegative")
     p_t, p_r = _factor_matrices(model, rho.labels, rho.matrix, config)
-    diag_t = np.real(np.diagonal(p_t))
-    uniforms = rng.generator(seed).random(n_probes)
-    state = np.array(rho.matrix, dtype=complex)
-    outcomes, probabilities, coherences, states = [], [], [], []
-    for u in uniforms:
-        pr_t = float(np.real(np.diagonal(state)) @ diag_t)
-        pr_t = min(max(pr_t, 0.0), 1.0)
-        if pr_t < _ZERO_TOLERANCE:
-            transmitted = False
-        elif 1.0 - pr_t < _ZERO_TOLERANCE:
-            transmitted = True
-        else:
-            transmitted = u < pr_t
-        if transmitted:
-            outcome, pr_s, factors = ProbeOutcome.TRANSMITTED, pr_t, p_t
-        else:
-            outcome, pr_s, factors = ProbeOutcome.REFLECTED, 1.0 - pr_t, p_r
-        state = state * factors / pr_s
-        outcomes.append(outcome)
-        probabilities.append(pr_s)
-        coherences.append(_coherence(state))
+    diag_t, diag_r = (np.real(np.diagonal(p)).tolist() for p in (p_t, p_r))
+    populations = np.real(np.diagonal(rho.matrix)).tolist()
+    transmitted, probabilities = [], []
+    for u in rng.generator(seed).random(n_probes).tolist():
+        pr_t = sum(map(operator.mul, populations, diag_t))
+        pr_t = 0.0 if pr_t < 0.0 else 1.0 if pr_t > 1.0 else pr_t
+        # near-certain outcomes are taken deterministically, the rest drawn
+        hit = pr_t >= _ZERO_TOLERANCE and (1.0 - pr_t < _ZERO_TOLERANCE or u < pr_t)
+        transmitted.append(hit)
+        probabilities.append(pr_t if hit else 1.0 - pr_t)
+        populations = list(map(operator.mul, populations, diag_t if hit else diag_r))
+        trace = sum(populations)
+        populations = [p / trace for p in populations]
+    n_t = np.cumsum(np.array(transmitted, dtype=np.int64))
+    n_r = np.arange(1, n_probes + 1) - n_t
+    coherences, states, matrix = [], [], rho.matrix
+    for rows in (slice(k, k + _STREAM_CHUNK) for k in range(0, n_probes, _STREAM_CHUNK)):
+        chunk = _conditioned_states(rho.matrix, p_t, p_r, n_t[rows], n_r[rows])
+        coherences.extend(_coherence(chunk).tolist())
         if keep_states:
-            states.append(AnyonicDensityMatrix(model=model, labels=rho.labels, matrix=state))
-    final = AnyonicDensityMatrix(model=model, labels=rho.labels, matrix=state)
+            states.extend(AnyonicDensityMatrix(model=model, labels=rho.labels, matrix=m) for m in chunk)
+        matrix = chunk[-1]
+    outcomes = (ProbeOutcome.REFLECTED, ProbeOutcome.TRANSMITTED)
     return ProbeTrajectory(
         seed=int(seed),
-        outcomes=tuple(outcomes),
+        outcomes=tuple(map(outcomes.__getitem__, transmitted)),
         probabilities=tuple(probabilities),
         coherences=tuple(coherences),
-        final_state=final,
+        final_state=AnyonicDensityMatrix(model=model, labels=rho.labels, matrix=matrix),
         states=tuple(states) if keep_states else None,
     )
 

@@ -145,7 +145,11 @@ class ConsistencyReport:
 
     def worst(self) -> tuple[str, float]:
         """Family name and residual of the largest deviation found."""
-        name = max(self.families, key=lambda k: self.families[k].max_residual)
+        def severity(name):
+            residual = self.families[name].max_residual
+            return math.isnan(residual), residual
+
+        name = max(self.families, key=severity)
         return name, self.families[name].max_residual
 
     def summary(self) -> str:
@@ -169,10 +173,11 @@ class _FamilyAccumulator:
         self.failures = []
 
     def add(self, label, residual):
+        """Record one instance; a NaN residual fails and stays the family's worst."""
         self.checked += 1
-        if residual > self.max_residual:
+        if not (math.isnan(self.max_residual) or residual <= self.max_residual):
             self.max_residual = residual
-        if residual >= self.tolerance and len(self.failures) < _MAX_RECORDED_FAILURES:
+        if not (residual < self.tolerance) and len(self.failures) < _MAX_RECORDED_FAILURES:
             self.failures.append((label, residual))
 
     def result(self):
@@ -337,8 +342,14 @@ def verify_consistency(model: AnyonModel, tolerance: float = DEFAULT_TOLERANCE) 
 # model construction
 
 
-def _as_complex(re, im):
-    return complex(float(re), float(im))
+def _as_complex(re, im, where):
+    try:
+        re, im = float(re), float(im)
+    except OverflowError:
+        re = im = math.inf
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise ValueError(f"{where} entry ({re!r}, {im!r}) is not finite")
+    return complex(re, im)
 
 
 def build_model(description: Mapping) -> AnyonModel:
@@ -406,7 +417,7 @@ def build_model(description: Mapping) -> AnyonModel:
         dims[a] = float(np.max(np.abs(np.linalg.eigvals(fusion[a].astype(float)))))
     for entry in description.get("dims", ()):
         a = look(entry[0], "dims table")
-        if abs(dims[a] - float(entry[1])) > DEFAULT_TOLERANCE:
+        if not (abs(dims[a] - float(entry[1])) <= DEFAULT_TOLERANCE):
             raise ConsistencyViolation(
                 f"declared dimension of {charges[a]} ({entry[1]}) disagrees with the "
                 f"fusion-derived value {dims[a]!r}"
@@ -417,20 +428,20 @@ def build_model(description: Mapping) -> AnyonModel:
     for entry in description.get("twists", ()):
         if len(entry) != 3:
             raise ValueError(f"twist entry {entry!r} is not [charge, re, im]")
-        twists[look(entry[0], "twist table")] = _as_complex(entry[1], entry[2])
+        twists[look(entry[0], "twist table")] = _as_complex(entry[1], entry[2], "twist table")
 
     provided_f = {}
     for entry in description.get("F", ()):
         if len(entry) != 8:
             raise ValueError(f"F entry {entry!r} is not [a, b, c, d, e, f, re, im]")
         key = tuple(look(name, "F table") for name in entry[:6])
-        provided_f[key] = _as_complex(entry[6], entry[7])
+        provided_f[key] = _as_complex(entry[6], entry[7], "F table")
     provided_r = {}
     for entry in description.get("R", ()):
         if len(entry) != 5:
             raise ValueError(f"R entry {entry!r} is not [a, b, c, re, im]")
         key = tuple(look(name, "R table") for name in entry[:3])
-        provided_r[key] = _as_complex(entry[3], entry[4])
+        provided_r[key] = _as_complex(entry[3], entry[4], "R table")
 
     f_symbols = {}
     every = range(n)
@@ -464,11 +475,11 @@ def build_model(description: Mapping) -> AnyonModel:
     s_matrix = _ribbon_s(fusion, dual, dims, twists, total_dim)
     if "S" in description:
         supplied = np.array(
-            [[_as_complex(*pair) for pair in row] for row in description["S"]],
+            [[_as_complex(*pair, "S matrix") for pair in row] for row in description["S"]],
             dtype=complex,
         )
         gap = float(np.max(np.abs(supplied - s_matrix)))
-        if gap > DEFAULT_TOLERANCE:
+        if not (gap <= DEFAULT_TOLERANCE):
             raise ConsistencyViolation(
                 f"supplied S matrix disagrees with the twist-derived one (max gap {gap:.3e})"
             )

@@ -76,6 +76,9 @@ def test_negative_seed_wraps_to_64_bits(tmp_path):
     ({"initial_state": {"diagonal": [0.2, 0.3, 0.5]}}, "two entries"),
     ({"initial_state": {"amplitudes": [1, 0], "charges": ["I", 2]}}, "charge names"),
     ({"initial_state": []}, "object"),
+    ({"from": math.nan}, "finite"),
+    ({"to": math.inf}, "finite"),
+    ({"to": 10**400}, "finite"),
 ])
 def test_malformed_config_fields_are_parse_errors(tmp_path, payload, fragment):
     path = write_config(tmp_path, payload)
@@ -100,6 +103,23 @@ def test_nonunitary_splitters_fail_fast(tmp_path):
     path = write_config(tmp_path, {"t1": 1.0, "r1": 1.0})
     with pytest.raises(UnitarityViolation, match="splitter 1"):
         parse_config(path)
+
+
+@pytest.mark.parametrize("payload", [
+    {"t1": math.nan},
+    {"r2": [0.5, math.inf]},
+    {"theta_I": math.nan},
+    {"theta_II": -math.inf},
+    {"theta_I": 10**400},
+    {"t2": 10**400},
+])
+def test_nonfinite_config_values_exit_2(tmp_path, capsys, payload):
+    path = write_config(tmp_path, payload)
+    out = tmp_path / "artifacts"
+    code = main(["interfere", "--config", path, "--probes", "5", "--out", str(out)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_model_is_rejected_at_parse_time(tmp_path):

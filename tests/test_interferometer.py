@@ -1,6 +1,7 @@
 """Single-probe channel, probe streams, charge classes, and asymptotics."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -62,6 +63,20 @@ def test_nonunitary_splitter_is_rejected():
         InterferometerConfig(probe=SIGMA, t1=0.9, r1=0.9)
     with pytest.raises(UnitarityViolation, match="splitter 2"):
         InterferometerConfig(probe=SIGMA, t2=1.0, r2=0.5)
+
+
+@pytest.mark.parametrize("field", ["t1", "r1", "t2", "r2"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.5, math.nan)])
+def test_nonfinite_splitter_amplitudes_are_rejected(field, value):
+    with pytest.raises(UnitarityViolation, match="not unitary"):
+        InterferometerConfig(probe=SIGMA, **{field: value})
+
+
+@pytest.mark.parametrize("field", ["theta_I", "theta_II"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_nonfinite_path_phases_are_rejected(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        InterferometerConfig(probe=SIGMA, **{field: value})
 
 
 def test_twists_must_be_a_pair():
@@ -416,3 +431,85 @@ def test_count_distribution_is_normalized(n, weight):
     dist = outcome_distribution(ising(), rho, sigma_config(delta=1.0), n)
     assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
     assert all(value >= -1e-15 for value in dist.values())
+
+
+# ---------------------------------------------------------------------------
+# the stream engine against the single-probe channel and exact arithmetic
+
+
+def _semion_qubit(semion):
+    matrix = np.array([[0.4, 0.3 - 0.2j], [0.3 + 0.2j, 0.6]], dtype=complex)
+    return density_matrix(semion, ((0, 0, 0), (1, 1, 0)), matrix)
+
+
+def _relative_gap(got, want):
+    return float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("case", ["detuned", "symmetric", "eigenstate", "semion"])
+def test_kept_states_match_chained_single_probes(case, semion):
+    # long enough that the stream is evaluated in more than one chunk
+    model, n_probes = ising(), 1100
+    if case == "detuned":
+        rho, config = qubit_state(0.5, 0.5, 0.5), sigma_config(delta=math.pi / 3.0)
+    elif case == "symmetric":
+        # transmissions 1 and 0: the first probe collapses the state and
+        # every later draw takes a deterministic branch
+        rho, config = qubit_state(0.5, 0.5, 0.5), sigma_config()
+    elif case == "eigenstate":
+        rho, config = qubit_state(1.0, 0.0), sigma_config(delta=math.pi / 3.0)
+    else:
+        model, rho = semion, _semion_qubit(semion)
+        config = InterferometerConfig(probe=1, theta_I=0.9)
+    run = simulate_stream(model, rho, config, n_probes, seed=5, keep_states=True)
+    assert len(run.states) == n_probes
+    state = rho
+    for k, outcome in enumerate(run.outcomes):
+        probability, state = apply_probe(model, state, config, outcome)
+        assert run.probabilities[k] == pytest.approx(probability, abs=1e-12)
+        assert _relative_gap(run.states[k].matrix, state.matrix) <= 1e-12
+        assert run.coherences[k] == run.states[k].coherence()
+    assert np.array_equal(run.final_state.matrix, run.states[-1].matrix)
+    if case == "symmetric":
+        assert len(set(run.outcomes[1:])) == 1
+        assert set(run.probabilities[1:]) == {1.0}
+    if case == "eigenstate":
+        assert run.final_state.matrix[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert run.coherences == (0.0,) * n_probes
+
+
+def test_stream_probabilities_match_exact_arithmetic():
+    model, config = ising(), sigma_config(delta=math.pi / 3.0)
+    run = simulate_stream(model, qubit_state(0.5, 0.5, 0.5), config, 300, seed=9)
+    transmit = [Fraction(p_factor(model, a, a, I, config, ProbeOutcome.TRANSMITTED).real)
+                for a in (I, PSI)]
+    reflect = [Fraction(p_factor(model, a, a, I, config, ProbeOutcome.REFLECTED).real)
+               for a in (I, PSI)]
+    populations = [Fraction(1, 2), Fraction(1, 2)]
+    for outcome, p_s in zip(run.outcomes, run.probabilities):
+        pr_t = sum(p * t for p, t in zip(populations, transmit))
+        factors = transmit if outcome is ProbeOutcome.TRANSMITTED else reflect
+        exact = pr_t if outcome is ProbeOutcome.TRANSMITTED else 1 - pr_t
+        assert abs(p_s - float(exact)) <= 1e-14
+        populations = [p * f for p, f in zip(populations, factors)]
+        total = sum(populations)
+        populations = [p / total for p in populations]
+
+
+def test_long_detuned_stream_keeps_the_channel_invariants():
+    model, config = ising(), sigma_config(delta=math.pi / 3.0)
+    n_probes = 20_000
+    run = simulate_stream(model, qubit_state(0.5, 0.5, 0.5), config, n_probes, seed=21)
+    assert all(0.0 < p <= 1.0 for p in run.probabilities)
+    final = run.final_state
+    collapsed = I if final.charge_weight({I}) > 0.5 else PSI
+    transmission = p_factor(model, collapsed, collapsed, I, config,
+                            ProbeOutcome.TRANSMITTED).real
+    # past the first thousand probes the minority class weight is far below
+    # double precision, so p_s is the class transmission or its complement
+    for outcome, p_s in list(zip(run.outcomes, run.probabilities))[1000:]:
+        want = transmission if outcome is ProbeOutcome.TRANSMITTED else 1.0 - transmission
+        assert abs(p_s - want) <= 1e-13
+    assert abs(np.trace(final.matrix) - 1.0) <= 1e-12
+    assert np.max(np.abs(final.matrix - final.matrix.conj().T)) <= 1e-12
+    assert np.min(np.linalg.eigvalsh(final.matrix)) >= -1e-12

@@ -1,8 +1,10 @@
 """Model construction, axiom checking, and the built-in theories."""
 
 import copy
+import dataclasses
 import json
 import math
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -184,6 +186,43 @@ def test_wrong_twist_fails_braiding_family():
     assert report.families["hexagon"].max_residual == pytest.approx(expected, abs=1e-12)
 
 
+def test_nonfinite_declared_dimension_is_rejected():
+    description = _ising_description()
+    description["dims"] = [["sigma", math.nan]]
+    with pytest.raises(ConsistencyViolation, match="dimension"):
+        build_model(description)
+
+
+def test_nonfinite_table_file_is_a_parse_error(tmp_path):
+    description = _ising_description()
+    description["twists"][1][2] = math.nan
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(description))
+    with pytest.raises(ParseError, match="finite"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("poison", ["F", "twists"])
+def test_nan_residuals_fail_certification(poison):
+    model = ising()
+    if poison == "F":
+        key = indexed(model, ("sigma", "sigma", "sigma", "sigma", "I", "I"))
+        symbols = dict(model.f_symbols)
+        symbols[key] = complex(math.nan, 0.0)
+        model = dataclasses.replace(model, f_symbols=MappingProxyType(symbols))
+    else:
+        twists = np.array(model.twists)
+        twists[model.charge_index("sigma")] = math.nan
+        model = dataclasses.replace(model, twists=twists)
+    with np.errstate(invalid="ignore"):  # NaN arithmetic is the point here
+        report = verify_consistency(model)
+    assert not report.passed
+    family, residual = report.worst()
+    assert math.isnan(residual)
+    assert report.families[family].failures
+    assert "FAIL" in report.summary()
+
+
 def test_empty_description_is_rejected():
     with pytest.raises(MissingVacuum):
         build_model({})
@@ -223,6 +262,11 @@ def test_charge_without_unique_conjugate_is_rejected():
     (lambda d: d["R"].append(["sigma", "sigma", 1.0, 0.0]), "R entry"),
     (lambda d: d["twists"].append(["psi", -1.0]), "twist entry"),
     (lambda d: d.update(charges=["I", "sigma", "psi", "I"]), "duplicate charge"),
+    (lambda d: d["F"][0].__setitem__(6, math.nan), "finite"),
+    (lambda d: d["R"][0].__setitem__(4, math.inf), "finite"),
+    (lambda d: d["R"][0].__setitem__(3, 10**400), "finite"),
+    (lambda d: d["twists"][1].__setitem__(1, math.nan), "finite"),
+    (lambda d: d.update(S=[[[math.nan, 0.0]] * 3] * 3), "finite"),
 ])
 def test_malformed_descriptions_raise_value_errors(mutate, message):
     description = _ising_description()
