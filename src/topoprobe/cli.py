@@ -399,8 +399,9 @@ class _ArtifactWriter:
         return path
 
     def write_jsonl(self, name: str, records) -> Path:
+        """One record per line; records hold only plain JSON types (no numpy)."""
         path = self._prepare(name)
-        lines = [json.dumps(_jsonable(record), sort_keys=True) for record in records]
+        lines = [json.dumps(record, sort_keys=True) for record in records]
         path.write_text("\n".join(lines) + ("\n" if lines else ""))
         return path
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -119,10 +120,14 @@ def embed_qubit(rho, model: AnyonModel | None = None) -> AnyonicDensityMatrix:
 # twisted measurement
 
 
+@lru_cache(maxsize=None)
 def _kraus(outcome: str) -> np.ndarray:
+    """Half the twisted loop operator on the qubit charges; shared, so read-only."""
     _outcome_bit(outcome)
     entries = twisted_operator(ising(), _OUTCOME_CHARGE[outcome]).entries
-    return 0.5 * np.diag(entries[[0, 2]])
+    kraus = 0.5 * np.diag(entries[[0, 2]])
+    kraus.flags.writeable = False
+    return kraus
 
 
 def twisted_measure(rho: QubitDensity, outcome: str) -> tuple[float, QubitDensity]:

@@ -4,9 +4,13 @@ An anyon theory is described by its fusion rules, the recoupling (F) and
 braiding (R) coefficients, and the topological twists. This module builds
 immutable :class:`AnyonModel` instances from such descriptions, derives
 quantum dimensions and the modular matrices, and checks the defining axioms
-by explicit enumeration of every equation instance. The Ising theory is
-built in; other small theories load from JSON files and are certified by the
-same checker.
+by explicit enumeration of every equation instance: pentagon, hexagon,
+unitarity of S and of every F(a, b, c; d) block, and the structural rules.
+The enumeration, the completion of F included, walks one table of fusion
+outcomes built with the model, so it visits only index tuples the fusion
+rules admit; a failing instance's label is formatted only when it fails. The
+Ising theory is built in; other small theories load from JSON files and are
+certified by the same checker.
 
 Conventions. Charges are integers indexing ``model.charges``; index 0 is the
 vacuum. ``F(a, b, c; d)[e, f]`` reassociates the fusion tree
@@ -58,6 +62,9 @@ class AnyonModel:
         Conjugate charge of each charge.
     fusion : ndarray, shape (n, n, n), values in {0, 1}
         ``fusion[a, b, c]`` is the multiplicity of ``c`` in ``a x b``.
+    outcomes : tuple of tuples of tuple of int
+        ``outcomes[a][b]`` lists the charges in ``a x b`` in basis order; the
+        same table as ``fusion``, in the form the lookups and loops read.
     f_symbols : mapping (a, b, c, d, e, f) -> complex
         Recoupling coefficients over all fusion-allowed index tuples.
     r_symbols : mapping (a, b, c) -> complex
@@ -76,6 +83,7 @@ class AnyonModel:
     charges: tuple[str, ...]
     dual: tuple[Charge, ...]
     fusion: np.ndarray
+    outcomes: tuple[tuple[tuple[Charge, ...], ...], ...]
     f_symbols: Mapping[tuple[Charge, Charge, Charge, Charge, Charge, Charge], complex]
     r_symbols: Mapping[tuple[Charge, Charge, Charge], complex]
     twists: np.ndarray
@@ -104,11 +112,11 @@ class AnyonModel:
 
     def allows(self, a: Charge, b: Charge, c: Charge) -> bool:
         """Whether c appears in the fusion product a x b."""
-        return bool(self.fusion[a, b, c])
+        return c in self.outcomes[a][b]
 
     def fusion_outcomes(self, a: Charge, b: Charge) -> tuple[Charge, ...]:
         """Charges appearing in a x b, in basis order."""
-        return tuple(int(c) for c in np.nonzero(self.fusion[a, b])[0])
+        return self.outcomes[a][b]
 
     def f(self, a, b, c, d, e, f) -> complex:
         """F(a, b, c; d)[e, f], or 0 when the fusion rules forbid the tuple."""
@@ -172,82 +180,138 @@ class _FamilyAccumulator:
         self.checked = 0
         self.failures = []
 
-    def add(self, label, residual):
-        """Record one instance; a NaN residual fails and stays the family's worst."""
+    def count(self, residual):
+        """Count one instance; True when it fails and there is room to record it.
+
+        A NaN residual fails and stays the family's worst. The hot loops call
+        this and format their label only on True.
+        """
         self.checked += 1
         if not (math.isnan(self.max_residual) or residual <= self.max_residual):
             self.max_residual = residual
-        if not (residual < self.tolerance) and len(self.failures) < _MAX_RECORDED_FAILURES:
+        return not (residual < self.tolerance) and len(self.failures) < _MAX_RECORDED_FAILURES
+
+    def add(self, label, residual):
+        """Record one instance whose label is already at hand."""
+        if self.count(residual):
             self.failures.append((label, residual))
 
     def result(self):
         return FamilyResult(self.max_residual, self.checked, tuple(self.failures))
 
 
+def _f_blocks(outcomes):
+    """Admissible F tuples grouped into blocks, in lexicographic order.
+
+    Yields ``((a, b, c, d), es, fs)`` for every d reachable from (a b) c or
+    a (b c): ``es`` are the e in a x b with d in e x c, ``fs`` the f in b x c
+    with d in a x f. Admissibility factorizes over e and f, so the admissible
+    tuples of F(a, b, c; d) are exactly ``es x fs``; only the fusion table is
+    read, never the n^6 tuple space.
+    """
+    every = range(len(outcomes))
+    for a in every:
+        row_a = outcomes[a]
+        for b in every:
+            ab, row_b = row_a[b], outcomes[b]
+            for c in every:
+                es_by_d, fs_by_d = {}, {}
+                for e in ab:
+                    for d in outcomes[e][c]:
+                        es_by_d.setdefault(d, []).append(e)
+                for f in row_b[c]:
+                    for d in row_a[f]:
+                        fs_by_d.setdefault(d, []).append(f)
+                for d in sorted(es_by_d.keys() | fs_by_d.keys()):
+                    yield (a, b, c, d), es_by_d.get(d, []), fs_by_d.get(d, [])
+
+
 def _check_pentagon(model: AnyonModel, tolerance: float) -> FamilyResult:
     acc = _FamilyAccumulator(tolerance)
+    count, failures = acc.count, acc.failures
     nm = model.charges
-    out = model.fusion_outcomes
+    out = model.outcomes
+    f_get = model.f_symbols.get
     every = range(model.n_charges)
     for a in every:
         for b in every:
+            ab, bc_row = out[a][b], out[b]
             for c in every:
+                bc = bc_row[c]
                 for d in every:
-                    for f in out(a, b):
-                        for g in out(f, c):
-                            for j in out(c, d):
-                                for k in out(b, j):
-                                    for e in out(g, d):
-                                        if not model.allows(a, k, e):
+                    cd = out[c][d]
+                    for f in ab:
+                        for g in out[f][c]:
+                            for j in cd:
+                                for k in out[b][j]:
+                                    ak = out[a][k]
+                                    for e in out[g][d]:
+                                        if e not in ak:
                                             continue
-                                        lhs = model.f(f, c, d, e, g, j) * model.f(a, b, j, e, f, k)
-                                        rhs = sum(
-                                            model.f(a, b, c, g, f, h)
-                                            * model.f(a, h, d, e, g, k)
-                                            * model.f(b, c, d, k, h, j)
-                                            for h in out(b, c)
+                                        # F keys on the left need not be admissible: .get gives 0
+                                        lhs = (
+                                            f_get((f, c, d, e, g, j), 0j)
+                                            * f_get((a, b, j, e, f, k), 0j)
                                         )
-                                        label = (
-                                            f"pentagon a={nm[a]} b={nm[b]} c={nm[c]} d={nm[d]} "
-                                            f"e={nm[e]} f={nm[f]} g={nm[g]} j={nm[j]} k={nm[k]}"
-                                        )
-                                        acc.add(label, abs(lhs - rhs))
+                                        rhs = 0
+                                        for h in bc:
+                                            rhs += (
+                                                f_get((a, b, c, g, f, h), 0j)
+                                                * f_get((a, h, d, e, g, k), 0j)
+                                                * f_get((b, c, d, k, h, j), 0j)
+                                            )
+                                        residual = abs(lhs - rhs)
+                                        if count(residual):
+                                            failures.append((
+                                                f"pentagon a={nm[a]} b={nm[b]} c={nm[c]} d={nm[d]} "
+                                                f"e={nm[e]} f={nm[f]} g={nm[g]} j={nm[j]} k={nm[k]}",
+                                                residual,
+                                            ))
     return acc.result()
 
 
 def _check_hexagon(model: AnyonModel, tolerance: float) -> FamilyResult:
     acc = _FamilyAccumulator(tolerance)
+    count, failures = acc.count, acc.failures
     nm = model.charges
-    out = model.fusion_outcomes
+    out = model.outcomes
+    f_get = model.f_symbols.get
     every = range(model.n_charges)
-    for conj, tag in ((False, "R"), (True, "R-inverse")):
-        def braid(a, b, c):
-            value = model.r(a, b, c)
-            return value.conjugate() if conj else value
-
+    inverse = {key: value.conjugate() for key, value in model.r_symbols.items()}
+    for tag, braid in (("R", model.r_symbols.get), ("R-inverse", inverse.get)):
         for a in every:
             for b in every:
+                ab = out[a][b]
                 for c in every:
-                    for e in out(c, a):
-                        for g in out(c, b):
-                            for d in out(e, b):
-                                if not model.allows(a, g, d):
+                    ca, cb = out[c][a], out[c][b]
+                    for e in ca:
+                        for g in cb:
+                            ag = out[a][g]
+                            for d in out[e][b]:
+                                if d not in ag:
                                     continue
-                                lhs = braid(c, a, e) * model.f(a, c, b, d, e, g) * braid(c, b, g)
-                                rhs = sum(
-                                    model.f(c, a, b, d, e, f)
-                                    * braid(c, f, d)
-                                    * model.f(a, b, c, d, f, g)
-                                    for f in out(a, b)
+                                lhs = (
+                                    braid((c, a, e), 0j)
+                                    * f_get((a, c, b, d, e, g), 0j)
+                                    * braid((c, b, g), 0j)
                                 )
-                                label = (
-                                    f"hexagon({tag}) a={nm[a]} b={nm[b]} c={nm[c]} "
-                                    f"d={nm[d]} e={nm[e]} g={nm[g]}"
-                                )
-                                acc.add(label, abs(lhs - rhs))
+                                rhs = 0
+                                for f in ab:
+                                    rhs += (
+                                        f_get((c, a, b, d, e, f), 0j)
+                                        * braid((c, f, d), 0j)
+                                        * f_get((a, b, c, d, f, g), 0j)
+                                    )
+                                residual = abs(lhs - rhs)
+                                if count(residual):
+                                    failures.append((
+                                        f"hexagon({tag}) a={nm[a]} b={nm[b]} c={nm[c]} "
+                                        f"d={nm[d]} e={nm[e]} g={nm[g]}",
+                                        residual,
+                                    ))
     # The twists are tied to the braiding: theta_a d_a = sum_c N^c_{aa} d_c R(a,a;c).
     for a in every:
-        total = sum(model.dims[c] * model.r(a, a, c) for c in out(a, a))
+        total = sum(model.dims[c] * model.r(a, a, c) for c in out[a][a])
         residual = abs(total / model.dims[a] - model.twists[a])
         acc.add(f"twist-from-braiding {nm[a]}", residual)
     for (a, b, c), value in model.r_symbols.items():
@@ -255,13 +319,34 @@ def _check_hexagon(model: AnyonModel, tolerance: float) -> FamilyResult:
     return acc.result()
 
 
-def _ribbon_s(fusion, dual, dims, twists, total_dim):
+def _check_f_unitarity(model: AnyonModel, tolerance: float) -> FamilyResult:
+    """Every F(a, b, c; d) block is square and unitary: max |F F^dagger - I|."""
+    acc = _FamilyAccumulator(tolerance)
+    nm = model.charges
+    f_get = model.f_symbols.get
+    for (a, b, c, d), es, fs in _f_blocks(model.outcomes):
+        if len(es) != len(fs):
+            acc.add(f"F({nm[a]},{nm[b]},{nm[c]};{nm[d]}) is {len(es)}x{len(fs)}, not square", 1.0)
+            continue
+        rows = [[f_get((a, b, c, d, e, f), 0j) for f in fs] for e in es]
+        residual = 0.0
+        for i, row_i in enumerate(rows):
+            for j, row_j in enumerate(rows):
+                gram = sum(x * y.conjugate() for x, y in zip(row_i, row_j))
+                gap = abs(gram - float(i == j))
+                if math.isnan(gap) or gap > residual:
+                    residual = gap
+        if acc.count(residual):
+            acc.failures.append((f"F({nm[a]},{nm[b]},{nm[c]};{nm[d]}) unitary", residual))
+    return acc.result()
+
+
+def _ribbon_s(outcomes, dual, dims, twists, total_dim):
     n = len(dims)
     s = np.zeros((n, n), dtype=complex)
     for a in range(n):
         for b in range(n):
-            channels = np.nonzero(fusion[dual[a], b])[0]
-            acc = sum(dims[c] * twists[c] for c in channels)
+            acc = sum(dims[c] * twists[c] for c in outcomes[dual[a]][b])
             s[a, b] = acc / (twists[a] * twists[b] * total_dim)
     return s
 
@@ -273,7 +358,7 @@ def _check_s_unitarity(model: AnyonModel, tolerance: float) -> FamilyResult:
     acc.add("S unitary", float(np.max(np.abs(s @ s.conj().T - np.eye(n)))))
     acc.add("S symmetric", float(np.max(np.abs(s - s.T))))
     acc.add("first row d_a / D", float(np.max(np.abs(s[0] - model.dims / model.total_dim))))
-    ribbon = _ribbon_s(model.fusion, model.dual, model.dims, model.twists, model.total_dim)
+    ribbon = _ribbon_s(model.outcomes, model.dual, model.dims, model.twists, model.total_dim)
     acc.add("ribbon recomputation", float(np.max(np.abs(s - ribbon))))
     return acc.result()
 
@@ -324,9 +409,10 @@ def verify_consistency(model: AnyonModel, tolerance: float = DEFAULT_TOLERANCE) 
     """Check every axiom instance of a model and report residuals by family.
 
     Families: pentagon (recoupling), hexagon (braiding, including the
-    twist-from-braiding relation), s_unitarity, monodromy, and the
-    twist/vacuum structural constraints. The model passes when every family's
-    worst residual is below ``tolerance``.
+    twist-from-braiding relation), s_unitarity, monodromy, the twist/vacuum
+    structural constraints, and f_unitarity (every F(a, b, c; d) block square
+    and unitary). The model passes when every family's worst residual is below
+    ``tolerance``.
     """
     families = {
         "pentagon": _check_pentagon(model, tolerance),
@@ -334,6 +420,7 @@ def verify_consistency(model: AnyonModel, tolerance: float = DEFAULT_TOLERANCE) 
         "s_unitarity": _check_s_unitarity(model, tolerance),
         "monodromy": _check_monodromy(model, tolerance),
         "twist_vacuum": _check_twist_vacuum(model, tolerance),
+        "f_unitarity": _check_f_unitarity(model, tolerance),
     }
     return ConsistencyReport(tolerance=tolerance, families=MappingProxyType(families))
 
@@ -401,6 +488,11 @@ def build_model(description: Mapping) -> AnyonModel:
             "0 x a = a and a x 0 = a must hold for every a"
         )
 
+    outcomes = tuple(
+        tuple(tuple(int(c) for c in np.flatnonzero(fusion[a, b])) for b in range(n))
+        for a in range(n)
+    )
+
     dual = []
     for a in range(n):
         partners = np.nonzero(fusion[a, :, VACUUM])[0]
@@ -443,36 +535,29 @@ def build_model(description: Mapping) -> AnyonModel:
         key = tuple(look(name, "R table") for name in entry[:3])
         provided_r[key] = _as_complex(entry[3], entry[4], "R table")
 
-    f_symbols = {}
-    every = range(n)
-    for a in every:
-        for b in every:
-            for c in every:
-                for d in every:
-                    for e in every:
-                        for f in every:
-                            if (fusion[a, b, e] and fusion[e, c, d]
-                                    and fusion[b, c, f] and fusion[a, f, d]):
-                                key = (a, b, c, d, e, f)
-                                f_symbols[key] = provided_f.pop(key, 1.0 + 0j)
+    f_symbols = {
+        (*abcd, e, f): provided_f.pop((*abcd, e, f), 1.0 + 0j)
+        for abcd, es, fs in _f_blocks(outcomes)
+        for e in es
+        for f in fs
+    }
     if provided_f:
         bad = next(iter(provided_f))
         names = ", ".join(charges[i] for i in bad)
         raise ValueError(f"F entry ({names}) is not allowed by the fusion rules")
 
-    r_symbols = {}
-    for a in every:
-        for b in every:
-            for c in every:
-                if fusion[a, b, c]:
-                    key = (a, b, c)
-                    r_symbols[key] = provided_r.pop(key, 1.0 + 0j)
+    r_symbols = {
+        (a, b, c): provided_r.pop((a, b, c), 1.0 + 0j)
+        for a in range(n)
+        for b in range(n)
+        for c in outcomes[a][b]
+    }
     if provided_r:
         bad = next(iter(provided_r))
         names = ", ".join(charges[i] for i in bad)
         raise ValueError(f"R entry ({names}) is not allowed by the fusion rules")
 
-    s_matrix = _ribbon_s(fusion, dual, dims, twists, total_dim)
+    s_matrix = _ribbon_s(outcomes, dual, dims, twists, total_dim)
     if "S" in description:
         supplied = np.array(
             [[_as_complex(*pair, "S matrix") for pair in row] for row in description["S"]],
@@ -488,6 +573,7 @@ def build_model(description: Mapping) -> AnyonModel:
         charges=charges,
         dual=dual,
         fusion=fusion,
+        outcomes=outcomes,
         f_symbols=MappingProxyType(f_symbols),
         r_symbols=MappingProxyType(r_symbols),
         twists=twists,

@@ -92,6 +92,52 @@ def semion_data():
     return dict(names=names, fusion=fusion, f=f, r=r, twists=twists, dims=dims)
 
 
+def zn_data(n, p):
+    """Z_N^(p): a x b = a + b mod N, F = 1, R(a, b; a+b) = e^{2 pi i p ab/N}.
+
+    theta_a = e^{2 pi i p a^2/N}; modular for odd N and p a unit mod N.
+    """
+    names = tuple(str(a) for a in range(n))
+
+    def phase(x):
+        return cmath.exp(2j * math.pi * (p * x % n) / n)
+
+    fusion = {(names[a], names[b], names[(a + b) % n]) for a in range(n) for b in range(n)}
+    r = {(names[a], names[b], names[(a + b) % n]): phase(a * b) for a in range(n) for b in range(n)}
+    twists = {names[a]: phase(a * a) for a in range(n)}
+    dims = {x: 1.0 for x in names}
+    return dict(names=names, fusion=fusion, f={}, r=r, twists=twists, dims=dims)
+
+
+def gauge_f(data, u):
+    """Completed F symbols after rescaling the fusion vertices by u(a, b; c).
+
+    F(a,b,c;d)[e,f] picks up u(a,b;e) u(e,c;d) / (u(b,c;f) u(a,f;d)); vertices
+    missing from u keep weight 1. R(a,b;c) picks up u(b,a;c) / u(a,b;c), so a
+    symmetric u leaves the braiding unchanged.
+    """
+    f, _ = complete_symbols(data)
+
+    def w(a, b, c):
+        return u.get((a, b, c), 1.0)
+
+    return {
+        (a, b, c, d, e, ff): value * w(a, b, e) * w(e, c, d) / (w(b, c, ff) * w(a, ff, d))
+        for (a, b, c, d, e, ff), value in f.items()
+    }
+
+
+def model_description(data):
+    """The package's model-description schema for oracle theory data."""
+    return {
+        "charges": list(data["names"]),
+        "fusion": [list(triple) for triple in sorted(data["fusion"])],
+        "F": [[*key, complex(v).real, complex(v).imag] for key, v in data["f"].items()],
+        "R": [[*key, complex(v).real, complex(v).imag] for key, v in data["r"].items()],
+        "twists": [[x, complex(v).real, complex(v).imag] for x, v in data["twists"].items()],
+    }
+
+
 # ---------------------------------------------------------------------------
 # symbol completion and axiom residuals
 
@@ -153,18 +199,34 @@ def pentagon_residuals(data):
                             for g in names:
                                 for j in names:
                                     for k in names:
-                                        lhs = (f.get((ff, c, d, e, g, j), 0.0)
-                                               * f.get((a, b, j, e, ff, k), 0.0))
-                                        rhs = 0.0
-                                        for h in names:
-                                            rhs += (f.get((a, b, c, g, ff, h), 0.0)
-                                                    * f.get((a, h, d, e, g, k), 0.0)
-                                                    * f.get((b, c, d, k, h, j), 0.0))
-                                        resid = abs(lhs - rhs)
+                                        resid = pentagon_instance(f, names, a, b, c, d, e, ff, g, j, k)
                                         if resid > worst:
                                             worst = resid
                                             worst_key = (a, b, c, d, e, ff, g, j, k)
     return worst, worst_key
+
+
+def pentagon_instance(f, names, a, b, c, d, e, ff, g, j, k):
+    """|lhs - rhs| of one pentagon instance over completed F symbols."""
+    lhs = f.get((ff, c, d, e, g, j), 0.0) * f.get((a, b, j, e, ff, k), 0.0)
+    rhs = 0.0
+    for h in names:
+        rhs += (f.get((a, b, c, g, ff, h), 0.0)
+                * f.get((a, h, d, e, g, k), 0.0)
+                * f.get((b, c, d, k, h, j), 0.0))
+    return abs(lhs - rhs)
+
+
+def hexagon_instance(f, r, names, conj, a, b, c, d, e, g):
+    """|lhs - rhs| of one hexagon instance (conj: the R-inverse hexagon)."""
+    def rr(key):
+        val = r.get(key, 0.0)
+        return val.conjugate() if conj else val
+    lhs = rr((c, a, e)) * f.get((a, c, b, d, e, g), 0.0) * rr((c, b, g))
+    rhs = 0.0
+    for ff in names:
+        rhs += f.get((c, a, b, d, e, ff), 0.0) * rr((c, ff, d)) * f.get((a, b, c, d, ff, g), 0.0)
+    return abs(lhs - rhs)
 
 
 def hexagon_residuals(data):
@@ -174,23 +236,13 @@ def hexagon_residuals(data):
     worst = 0.0
     worst_key = None
     for conj in (False, True):
-        def rr(key):
-            val = r.get(key, 0.0)
-            return val.conjugate() if conj else val
         for a in names:
             for b in names:
                 for c in names:
                     for d in names:
                         for e in names:
                             for g in names:
-                                lhs = (rr((c, a, e)) * f.get((a, c, b, d, e, g), 0.0)
-                                       * rr((c, b, g)))
-                                rhs = 0.0
-                                for ff in names:
-                                    rhs += (f.get((c, a, b, d, e, ff), 0.0)
-                                            * rr((c, ff, d))
-                                            * f.get((a, b, c, d, ff, g), 0.0))
-                                resid = abs(lhs - rhs)
+                                resid = hexagon_instance(f, r, names, conj, a, b, c, d, e, g)
                                 if resid > worst:
                                     worst = resid
                                     worst_key = (conj, a, b, c, d, e, g)

@@ -148,9 +148,10 @@ def test_validate_builtin_model_passes(capsys, tmp_path):
     payload = json.loads((out / "validation.json").read_text())
     assert payload["passed"] is True
     assert set(payload["families"]) == {
-        "pentagon", "hexagon", "s_unitarity", "monodromy", "twist_vacuum",
+        "pentagon", "hexagon", "s_unitarity", "monodromy", "twist_vacuum", "f_unitarity",
     }
     assert payload["families"]["pentagon"]["checked"] == 136
+    assert payload["families"]["f_unitarity"]["checked"] == 33
 
 
 def test_validate_packaged_models(capsys):

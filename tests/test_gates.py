@@ -26,6 +26,7 @@ from topoprobe import (
     synthesize_magic_state,
     twisted_measure,
 )
+from topoprobe.gates import _kraus
 
 COS8 = math.cos(math.pi / 8.0)
 SIN8 = math.sin(math.pi / 8.0)
@@ -115,6 +116,13 @@ def test_measurement_matches_closed_form_reference():
         pr, post = twisted_measure(rho, outcome)
         assert pr == pytest.approx(pr_ref, abs=1e-12)
         assert np.max(np.abs(post.matrix - post_ref)) < 1e-12
+
+
+def test_twisted_kraus_operators_are_shared_read_only():
+    kraus = _kraus("I")
+    assert _kraus("I") is kraus
+    with pytest.raises(ValueError):
+        kraus[0, 0] = 0.0
 
 
 def test_sigma_outcome_is_impossible():

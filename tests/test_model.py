@@ -1,5 +1,6 @@
 """Model construction, axiom checking, and the built-in theories."""
 
+import cmath
 import copy
 import dataclasses
 import json
@@ -36,13 +37,13 @@ def test_ising_passes_every_axiom_family():
     report = verify_consistency(ising(), tolerance=1e-12)
     assert report.passed
     assert set(report.families) == {
-        "pentagon", "hexagon", "s_unitarity", "monodromy", "twist_vacuum",
+        "pentagon", "hexagon", "s_unitarity", "monodromy", "twist_vacuum", "f_unitarity",
     }
     # instance counts pin the enumeration domain of each family
     counts = {name: fam.checked for name, fam in report.families.items()}
     assert counts == {
         "pentagon": 136, "hexagon": 85, "s_unitarity": 4,
-        "monodromy": 2, "twist_vacuum": 16,
+        "monodromy": 2, "twist_vacuum": 16, "f_unitarity": 33,
     }
     name, residual = report.worst()
     assert residual < 1e-12
@@ -139,6 +140,9 @@ def test_structural_invariants_hold(theory, request):
     for a in range(n):
         assert model.dual[model.dual[a]] == a
         for b in range(n):
+            # the outcome table behind the lookups is the fusion array, read another way
+            assert model.fusion_outcomes(a, b) == tuple(np.flatnonzero(model.fusion[a, b]))
+            assert [model.allows(a, b, c) for c in range(n)] == list(model.fusion[a, b] == 1)
             fused = sum(model.dims[c] for c in model.fusion_outcomes(a, b))
             assert fused == pytest.approx(model.dims[a] * model.dims[b], abs=1e-9)
             # monodromy is a weight-one average of phases, so it sits in the disk
@@ -223,6 +227,35 @@ def test_nan_residuals_fail_certification(poison):
     assert "FAIL" in report.summary()
 
 
+def test_non_unitary_gauge_fails_only_f_unitarity():
+    # u(1,1;2) = 2 is a gauge transform: pentagon and hexagon still hold, but
+    # the F blocks it rescales by 2 and by 1/2 are no longer unitary
+    data = oracles.zn_data(3, 1)
+    data["f"] = oracles.gauge_f(data, {("1", "1", "2"): 2.0})
+    assert set(data["f"].values()) - {1.0} == {0.5, 2.0}
+    with pytest.raises(ConsistencyViolation, match="f_unitarity") as err:
+        build_model(oracles.model_description(data))
+    report = err.value.report
+    failing = [name for name, fam in report.families.items() if not fam.max_residual < 1e-12]
+    assert failing == ["f_unitarity"]
+    assert report.families["f_unitarity"].max_residual == 3.0  # |2|^2 - 1
+
+
+def test_non_associative_fusion_gives_non_square_f_blocks():
+    description = {
+        "charges": ["I", "x", "y"],
+        "fusion": [
+            ["I", "I", "I"], ["I", "x", "x"], ["I", "y", "y"], ["x", "I", "x"], ["y", "I", "y"],
+            ["x", "y", "I"], ["y", "x", "I"], ["x", "x", "x"], ["y", "y", "y"],
+        ],
+    }
+    with pytest.raises(ConsistencyViolation) as err:
+        build_model(description)
+    family = err.value.report.families["f_unitarity"]
+    assert family.max_residual == 1.0
+    assert family.failures[0][0] == "F(x,x,y;I) is 1x0, not square"
+
+
 def test_empty_description_is_rejected():
     with pytest.raises(MissingVacuum):
         build_model({})
@@ -300,6 +333,78 @@ def test_consistent_declared_tables_are_accepted():
     description["S"] = [[[v.real, v.imag] for v in row] for row in s]
     model = build_model(description)
     assert verify_consistency(model).passed
+
+
+# ---------------------------------------------------------------------------
+# generated Z_N^(p) theories
+
+
+@pytest.mark.parametrize("n, p", [(3, 1), (5, 2), (7, 3), (11, 2)])
+def test_zn_instance_counts_follow_closed_forms(n, p):
+    model = build_model(oracles.model_description(oracles.zn_data(n, p)))
+    report = verify_consistency(model, tolerance=1e-12)
+    assert report.passed
+    counts = {name: fam.checked for name, fam in report.families.items()}
+    assert counts["pentagon"] == n**4
+    # both hexagons per (a, b, c), a twist relation per charge, a modulus check per R
+    assert counts["hexagon"] == 2 * n**3 + n**2 + n
+    assert counts["f_unitarity"] == n**3
+
+
+def labelled_charges(label):
+    return dict(item.split("=") for item in label.split()[1:])
+
+
+def test_zn_hexagon_residuals_match_the_oracle():
+    data = oracles.zn_data(5, 2)
+    report = verify_consistency(build_model(oracles.model_description(data)))
+    assert report.families["pentagon"].max_residual == 0.0  # F = 1: every instance is 1 - 1
+    expected, _ = oracles.hexagon_residuals(data)
+    assert report.families["hexagon"].max_residual == pytest.approx(expected, abs=1e-12)
+
+    perturbed = dict(data, r=dict(data["r"]))
+    perturbed["r"][("1", "2", "3")] *= cmath.exp(0.3j)
+    with pytest.raises(ConsistencyViolation, match="hexagon") as err:
+        build_model(oracles.model_description(perturbed))
+    hexagon = err.value.report.families["hexagon"]
+    expected, _ = oracles.hexagon_residuals(perturbed)
+    assert expected > 0.1
+    assert hexagon.max_residual == pytest.approx(expected, abs=1e-12)
+    f, r = oracles.complete_symbols(perturbed)
+    assert hexagon.failures
+    for label, residual in hexagon.failures:
+        charges = labelled_charges(label)
+        conj = label.startswith("hexagon(R-inverse)")
+        instance = [charges[x] for x in "abcdeg"]
+        assert oracles.hexagon_instance(f, r, data["names"], conj, *instance) == pytest.approx(
+            residual, abs=1e-15
+        )
+
+
+def test_corrupted_recoupling_failures_name_their_instances():
+    # the oracle's n^10 pentagon sweep is quick only for the smallest theories
+    data = oracles.zn_data(3, 1)
+    key = ("1", "1", "2", "1", "2", "0")
+    data["f"] = {key: cmath.exp(0.5j)}
+    with pytest.raises(ConsistencyViolation) as err:
+        build_model(oracles.model_description(data))
+    pentagon = err.value.report.families["pentagon"]
+    expected, _ = oracles.pentagon_residuals(data)
+    assert expected > 0.1
+    assert pentagon.max_residual == pytest.approx(expected, abs=1e-12)
+
+    f, _ = oracles.complete_symbols(data)
+    names = data["names"]
+    assert pentagon.failures
+    for label, residual in pentagon.failures:
+        charges = labelled_charges(label)
+        a, b, c, d, e, ff, g, j, k = instance = [charges[x] for x in "abcdefgjk"]
+        assert oracles.pentagon_instance(f, names, *instance) == pytest.approx(residual, abs=1e-15)
+        assert residual > 0.1
+        factors = {(ff, c, d, e, g, j), (a, b, j, e, ff, k)}
+        for h in names:
+            factors |= {(a, b, c, g, ff, h), (a, h, d, e, g, k), (b, c, d, k, h, j)}
+        assert key in factors
 
 
 # ---------------------------------------------------------------------------
