@@ -50,6 +50,7 @@ from .errors import (
 )
 from .gates import (
     OUTCOMES,
+    TWISTED_CHANNEL_TWISTS,
     QubitDensity,
     magic_state,
     protocol_check,
@@ -63,6 +64,7 @@ from .gates import (
 from .interferometer import (
     AnyonicDensityMatrix,
     InterferometerConfig,
+    _require_unitary_splitters,
     asymptotic_measure,
     density_matrix,
     equivalence_classes,
@@ -74,13 +76,7 @@ from .surgery import modular_matrices, twisted_operator
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 _SWEEP_PARAMS = ("delta", "theta_I", "theta_II")
-_ALLOWED_TWISTS = ((0, 0), (0, 2))
-
-_CONFIG_KEYS = {
-    "model", "t1", "r1", "t2", "r2", "theta_I", "theta_II", "probe",
-    "twists", "probes", "trials", "seed", "out", "initial_state",
-    "param", "from", "to", "steps",
-}
+_ALLOWED_TWISTS = ((0, 0), TWISTED_CHANNEL_TWISTS)
 
 
 @dataclass(frozen=True)
@@ -111,15 +107,15 @@ class RunConfig:
 # configuration parsing
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _parse_amplitude(value, field):
     try:
-        if isinstance(value, (int, float)):
+        if _is_number(value):
             return complex(value)
-        if (
-            isinstance(value, (list, tuple))
-            and len(value) == 2
-            and all(isinstance(x, (int, float)) for x in value)
-        ):
+        if isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value)):
             return complex(value[0], value[1])
     except OverflowError:
         raise ParseError(f"config field {field!r}: number out of range") from None
@@ -135,7 +131,7 @@ def _parse_int(value, field, minimum=None):
 
 
 def _parse_float(value, field):
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not _is_number(value):
         raise ParseError(f"config field {field!r}: expected a number")
     try:
         number = float(value)
@@ -199,6 +195,42 @@ def _parse_initial_state(value, field="initial_state"):
     return parsed
 
 
+def _parse_string(value, field, expected):
+    if not isinstance(value, str):
+        raise ParseError(f"config field {field!r}: expected {expected}")
+    return value
+
+
+def _parse_param(value, field):
+    if value not in _SWEEP_PARAMS:
+        raise ParseError(f"config field {field!r}: must be one of {', '.join(_SWEEP_PARAMS)}")
+    return value
+
+
+# Config key, RunConfig field, parser, extra parser arguments; parse_config
+# walks this order, so the first malformed key in it is the one reported.
+_CONFIG_TABLE = (
+    ("model", "model_source", _parse_string, "a string"),
+    ("t1", "t1", _parse_amplitude),
+    ("r1", "r1", _parse_amplitude),
+    ("t2", "t2", _parse_amplitude),
+    ("r2", "r2", _parse_amplitude),
+    ("theta_I", "theta_I", _parse_float),
+    ("theta_II", "theta_II", _parse_float),
+    ("probe", "probe_name", _parse_string, "a charge name"),
+    ("twists", "twists", _parse_twists),
+    ("probes", "n_probes", _parse_int, 0),
+    ("trials", "trials", _parse_int, 1),
+    ("seed", "seed", lambda value, field: _parse_int(value, field) % 2**64),
+    ("out", "out_dir", _parse_string, "a directory path"),
+    ("initial_state", "initial_state", _parse_initial_state),
+    ("param", "sweep_param", _parse_param),
+    ("from", "sweep_start", _parse_float),
+    ("to", "sweep_stop", _parse_float),
+    ("steps", "sweep_steps", _parse_int, 1),
+)
+
+
 def parse_config(path: str | None, overrides: Mapping | None = None) -> RunConfig:
     """Merge defaults, an optional JSON config file, and flag overrides.
 
@@ -219,7 +251,7 @@ def parse_config(path: str | None, overrides: Mapping | None = None) -> RunConfi
             ) from None
         if not isinstance(data, dict):
             raise ParseError(f"{path}: top level must be a JSON object")
-        unknown = set(data) - _CONFIG_KEYS
+        unknown = set(data) - {key for key, *_ in _CONFIG_TABLE}
         if unknown:
             raise ParseError(f"{path}: unknown config field {sorted(unknown)[0]!r}")
         merged.update(data)
@@ -227,54 +259,12 @@ def parse_config(path: str | None, overrides: Mapping | None = None) -> RunConfi
         if value is not None:
             merged[key] = value
 
-    run = RunConfig()
-    if "model" in merged:
-        if not isinstance(merged["model"], str):
-            raise ParseError("config field 'model': expected a string")
-        run = replace(run, model_source=merged["model"])
-    for field in ("t1", "r1", "t2", "r2"):
-        if field in merged:
-            run = replace(run, **{field: _parse_amplitude(merged[field], field)})
-    for field in ("theta_I", "theta_II"):
-        if field in merged:
-            run = replace(run, **{field: _parse_float(merged[field], field)})
-    if "probe" in merged:
-        if not isinstance(merged["probe"], str):
-            raise ParseError("config field 'probe': expected a charge name")
-        run = replace(run, probe_name=merged["probe"])
-    if "twists" in merged:
-        run = replace(run, twists=_parse_twists(merged["twists"]))
-    if "probes" in merged:
-        run = replace(run, n_probes=_parse_int(merged["probes"], "probes", minimum=0))
-    if "trials" in merged:
-        run = replace(run, trials=_parse_int(merged["trials"], "trials", minimum=1))
-    if "seed" in merged:
-        run = replace(run, seed=_parse_int(merged["seed"], "seed") % 2**64)
-    if "out" in merged:
-        if not isinstance(merged["out"], str):
-            raise ParseError("config field 'out': expected a directory path")
-        run = replace(run, out_dir=merged["out"])
-    if "initial_state" in merged:
-        run = replace(run, initial_state=_parse_initial_state(merged["initial_state"]))
-    if "param" in merged:
-        if merged["param"] not in _SWEEP_PARAMS:
-            raise ParseError(
-                f"config field 'param': must be one of {', '.join(_SWEEP_PARAMS)}"
-            )
-        run = replace(run, sweep_param=merged["param"])
-    if "from" in merged:
-        run = replace(run, sweep_start=_parse_float(merged["from"], "from"))
-    if "to" in merged:
-        run = replace(run, sweep_stop=_parse_float(merged["to"], "to"))
-    if "steps" in merged:
-        run = replace(run, sweep_steps=_parse_int(merged["steps"], "steps", minimum=1))
-
-    for label, t, r in (("1", run.t1, run.r1), ("2", run.t2, run.r2)):
-        gap = abs(abs(t) ** 2 + abs(r) ** 2 - 1.0)
-        if not (gap <= 1e-9):
-            raise UnitarityViolation(
-                f"splitter {label}: |t{label}|^2 + |r{label}|^2 deviates from 1 by {gap:.3e}"
-            )
+    run = RunConfig(**{
+        name: parse(merged[key], key, *args)
+        for key, name, parse, *args in _CONFIG_TABLE
+        if key in merged
+    })
+    _require_unitary_splitters(run.t1, run.r1, run.t2, run.r2)
     if (
         run.model_source != "ising"
         and run.model_source not in _packaged_models()
@@ -316,7 +306,6 @@ def _interferometer_config(model: AnyonModel, run: RunConfig) -> InterferometerC
         r2=run.r2,
         theta_I=run.theta_I,
         theta_II=run.theta_II,
-        twists=(0, 0),
     )
 
 
@@ -354,30 +343,13 @@ def _initial_density(model: AnyonModel, run: RunConfig) -> AnyonicDensityMatrix:
 # serialization helpers
 
 
-def _jsonable(value):
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, (np.complexfloating,)):
+def _json_default(value):
+    """Encode what json cannot: complex numbers as [re, im], numpy arrays and scalars."""
+    if isinstance(value, (complex, np.complexfloating)):
         return [float(value.real), float(value.imag)]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return [_jsonable(x) for x in value.tolist()]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(x) for x in value]
-    return value
-
-
-def _state_payload(state: AnyonicDensityMatrix, model: AnyonModel):
-    return {
-        "labels": [
-            [model.charge_name(a), model.charge_name(c), model.charge_name(f)]
-            for a, c, f in state.labels
-        ],
-        "matrix": _jsonable(state.matrix),
-    }
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 class _ArtifactWriter:
@@ -395,7 +367,7 @@ class _ArtifactWriter:
 
     def write_json(self, name: str, payload) -> Path:
         path = self._prepare(name)
-        path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n")
         return path
 
     def write_jsonl(self, name: str, records) -> Path:
@@ -461,7 +433,7 @@ def _run_validate(run: RunConfig, writer: _ArtifactWriter) -> int:
 
 
 def _run_interfere(run: RunConfig, writer: _ArtifactWriter) -> int:
-    if run.twists == (0, 2):
+    if run.twists == TWISTED_CHANNEL_TWISTS:
         return _run_twisted(run, writer)
     model = _resolve_model(run.model_source)
     config = _interferometer_config(model, run)
@@ -509,7 +481,10 @@ def _run_interfere(run: RunConfig, writer: _ArtifactWriter) -> int:
             {
                 "probability": weight,
                 "charge_class": _class_name(model, _members_of(fixed, partition)),
-                "state": _state_payload(fixed, model),
+                "state": {
+                    "labels": [[model.charge_name(x) for x in label] for label in fixed.labels],
+                    "matrix": fixed.matrix,
+                },
             }
             for weight, fixed in collapse_table
         ],
@@ -544,7 +519,7 @@ def _run_twisted(run: RunConfig, writer: _ArtifactWriter) -> int:
     for name in OUTCOMES:
         try:
             probability, post = twisted_measure(rho, name)
-            posts[name] = {"probability": probability, "state": _jsonable(post.matrix)}
+            posts[name] = {"probability": probability, "state": post.matrix}
         except ZeroProbability:
             posts[name] = {"probability": 0.0, "state": None}
 
@@ -556,7 +531,7 @@ def _run_twisted(run: RunConfig, writer: _ArtifactWriter) -> int:
     writer.write_json(
         "twisted.json",
         {
-            "initial": _jsonable(rho.matrix),
+            "initial": rho.matrix,
             "trials": run.trials,
             "seed": run.seed,
             "histogram": counts,
@@ -585,8 +560,8 @@ def _run_protocol(run: RunConfig, writer: _ArtifactWriter) -> int:
                 {
                     "a": a,
                     "alpha": alpha,
-                    "unitary": _jsonable(unitary),
-                    "first_principles_diagonal": _jsonable(list(check)),
+                    "unitary": unitary,
+                    "first_principles_diagonal": check,
                     "residual": residual,
                 }
             )
@@ -594,8 +569,8 @@ def _run_protocol(run: RunConfig, writer: _ArtifactWriter) -> int:
     payload = {
         "table": table,
         "sigma_decoupling": {
-            "B_sigma_I": _jsonable(complex(b[1, 0])),
-            "B_sigma_psi": _jsonable(complex(b[1, 2])),
+            "B_sigma_I": b[1, 0],
+            "B_sigma_psi": b[1, 2],
         },
     }
     writer.write_json("protocol.json", payload)
@@ -645,11 +620,11 @@ def _run_dump(run: RunConfig, writer: _ArtifactWriter) -> int:
     matrices = modular_matrices(model)
     payload = {
         "charges": list(model.charges),
-        "S": _jsonable(matrices.s),
-        "T": _jsonable(matrices.t),
-        "B": _jsonable(matrices.b),
+        "S": matrices.s,
+        "T": matrices.t,
+        "B": matrices.b,
         "twisted_operators": {
-            model.charge_name(core): _jsonable(twisted_operator(model, core).entries)
+            model.charge_name(core): twisted_operator(model, core).entries
             for core in range(model.n_charges)
         },
     }
@@ -714,27 +689,15 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--twists", help="arm twist counts 'l,r'")
         if name == "sweep":
             sub.add_argument("--param", help="one of " + ", ".join(_SWEEP_PARAMS))
-            sub.add_argument("--from", dest="sweep_from", type=float, help="grid start")
-            sub.add_argument("--to", dest="sweep_to", type=float, help="grid end")
+            sub.add_argument("--from", type=float, help="grid start")
+            sub.add_argument("--to", type=float, help="grid end")
             sub.add_argument("--steps", type=int, help="grid point count")
     return parser
 
 
 def _flag_overrides(args: argparse.Namespace) -> dict:
-    overrides = {
-        "model": args.model,
-        "probes": args.probes,
-        "trials": args.trials,
-        "seed": args.seed,
-        "out": args.out,
-        "twists": args.twists,
-    }
-    if args.subcommand == "sweep":
-        overrides["param"] = args.param
-        overrides["from"] = args.sweep_from
-        overrides["to"] = args.sweep_to
-        overrides["steps"] = args.steps
-    return overrides
+    """Flag values by config key; None for flags unset or absent from the subcommand."""
+    return {key: getattr(args, key, None) for key, *_ in _CONFIG_TABLE}
 
 
 def main(argv=None) -> int:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -41,6 +42,7 @@ _ZERO_TOLERANCE = 1e-12
 _CLASS_TOLERANCE = 1e-9
 _UNITARITY_TOLERANCE = 1e-9
 _STREAM_CHUNK = 1024  # probes per closed-form evaluation
+_AMBIGUOUS = -2  # connecting-charge table entry with several candidates
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -52,15 +54,24 @@ class ProbeOutcome(enum.Enum):
     REFLECTED = "reflected"
 
 
+def _require_unitary_splitters(t1, r1, t2, r2):
+    """Raise UnitarityViolation unless |t|^2 + |r|^2 = 1 for both splitters."""
+    for label, t, r in (("1", t1, r1), ("2", t2, r2)):
+        gap = abs(abs(t) ** 2 + abs(r) ** 2 - 1.0)
+        if not (gap <= _UNITARITY_TOLERANCE):
+            raise UnitarityViolation(
+                f"splitter {label} is not unitary: |t{label}|^2 + |r{label}|^2 "
+                f"deviates from 1 by {gap:.3e}"
+            )
+
+
 @dataclass(frozen=True)
 class InterferometerConfig:
     """Beam-splitter amplitudes, path phases, and probe charge of one setup.
 
     Defaults give the symmetric untwisted interferometer: both splitters
-    50/50 with real amplitudes and no path-phase difference. ``twists``
-    counts full twists in the two arms; every operation in this module
-    requires (0, 0), the twisted case being a different measurement
-    implemented on top of :mod:`.surgery`.
+    50/50 with real amplitudes and no path-phase difference. Twisted arms
+    make a different measurement, built from surgery in :mod:`.gates`.
     """
 
     probe: Charge
@@ -70,34 +81,16 @@ class InterferometerConfig:
     r2: complex = _INV_SQRT2
     theta_I: float = 0.0
     theta_II: float = 0.0
-    twists: tuple[int, int] = (0, 0)
 
     def __post_init__(self):
-        for label, t, r in (("1", self.t1, self.r1), ("2", self.t2, self.r2)):
-            gap = abs(abs(t) ** 2 + abs(r) ** 2 - 1.0)
-            if not (gap <= _UNITARITY_TOLERANCE):
-                raise UnitarityViolation(
-                    f"splitter {label} is not unitary: |t{label}|^2 + |r{label}|^2 "
-                    f"deviates from 1 by {gap:.3e}"
-                )
+        _require_unitary_splitters(self.t1, self.r1, self.t2, self.r2)
         if not (math.isfinite(self.theta_I) and math.isfinite(self.theta_II)):
             raise ValueError("path phases theta_I and theta_II must be finite")
-        object.__setattr__(self, "twists", tuple(int(x) for x in self.twists))
-        if len(self.twists) != 2:
-            raise ValueError("twists must be a pair of integers")
 
     @property
     def delta(self) -> float:
         """Relative phase between the two paths."""
         return self.theta_I - self.theta_II
-
-
-def _require_untwisted(config: InterferometerConfig):
-    if config.twists != (0, 0):
-        raise ValueError(
-            "twisted interferometer configurations are modeled by the gates "
-            "module; this operation covers the untwisted channel only"
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,52 +228,57 @@ def p_factor(
     )
 
 
-def _connecting_charge(model, ket, bra):
-    """Unique charge linking two basis labels, or None when structurally absent.
+@functools.lru_cache(maxsize=64)
+def _connecting_charges(model, labels):
+    """Read-only table of the charge linking ket label i to bra label j.
 
     Candidates must be absorbable on both the probed side and the
-    complement side. Returns (status, charge) with status one of
-    "zero" (no candidate or different total charge), "unique", "ambiguous".
+    complement side. An entry is -1 when there is none (or the total
+    charges differ) and _AMBIGUOUS when there are several.
     """
-    a, c, f = ket
-    a2, c2, f2 = bra
-    if f != f2:
-        return "zero", None
-    candidates = set(model.fusion_outcomes(a, model.dual[a2])) & set(
-        model.fusion_outcomes(c, model.dual[c2])
-    )
-    if not candidates:
-        return "zero", None
-    if len(candidates) > 1:
-        return "ambiguous", None
-    return "unique", candidates.pop()
+    table = np.full((len(labels), len(labels)), -1)
+    for i, (a, c, f) in enumerate(labels):
+        for j, (a2, c2, f2) in enumerate(labels):
+            candidates = set(model.fusion_outcomes(a, model.dual[a2])) & set(
+                model.fusion_outcomes(c, model.dual[c2])
+            )
+            if f == f2 and candidates:
+                table[i, j] = candidates.pop() if len(candidates) == 1 else _AMBIGUOUS
+    table.flags.writeable = False
+    return table
 
 
-def _factor_matrices(model, labels, matrix, config):
-    """Per-entry probe factors for both outcomes over a fixed label basis.
+def _require_supported(model, rho, populated=None):
+    """Raise UnsupportedBasisChange if a populated entry has no unique connecting charge.
 
-    Entries without a unique connecting charge get factor 0; if the state
-    actually populates such an entry the channel is outside the supported
-    sector and UnsupportedBasisChange is raised.
+    ``populated`` defaults to the entries of rho above the zero tolerance.
     """
-    n = len(labels)
-    p_t = np.zeros((n, n), dtype=complex)
-    p_r = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            status, e = _connecting_charge(model, labels[i], labels[j])
-            if status == "unique":
-                p_t[i, j] = p_factor(model, labels[i][0], labels[j][0], e, config, ProbeOutcome.TRANSMITTED)
-                p_r[i, j] = p_factor(model, labels[i][0], labels[j][0], e, config, ProbeOutcome.REFLECTED)
-            elif status == "ambiguous" and matrix is not None and abs(matrix[i, j]) > _ZERO_TOLERANCE:
-                ai, ci, fi = labels[i]
-                aj, cj, fj = labels[j]
-                raise UnsupportedBasisChange(
-                    "no unique connecting charge between "
-                    f"({model.charge_name(ai)}, {model.charge_name(ci)}; {model.charge_name(fi)}) and "
-                    f"({model.charge_name(aj)}, {model.charge_name(cj)}; {model.charge_name(fj)}); "
-                    "the populated entry would need a recoupling move this package does not model"
-                )
+    if populated is None:
+        populated = np.abs(rho.matrix) > _ZERO_TOLERANCE
+    hits = np.argwhere((_connecting_charges(model, rho.labels) == _AMBIGUOUS) & populated)
+    if len(hits):
+        ket, bra = ("({}, {}; {})".format(*map(model.charge_name, rho.labels[k])) for k in hits[0])
+        raise UnsupportedBasisChange(
+            f"no unique connecting charge between {ket} and {bra}; "
+            "the populated entry would need a recoupling move this package does not model"
+        )
+
+
+@functools.lru_cache(maxsize=64)
+def _factors(model, labels, config):
+    """Read-only per-entry probe factors (P_t, P_r) over a label basis.
+
+    Entries without a unique connecting charge get factor 0; callers check
+    with :func:`_require_supported` that the state does not populate them.
+    """
+    charges = _connecting_charges(model, labels)
+    p_t = np.zeros(charges.shape, dtype=complex)
+    p_r = np.zeros(charges.shape, dtype=complex)
+    for i, j in np.argwhere(charges >= 0):
+        a, a2, e = labels[i][0], labels[j][0], int(charges[i, j])
+        p_t[i, j] = p_factor(model, a, a2, e, config, ProbeOutcome.TRANSMITTED)
+        p_r[i, j] = p_factor(model, a, a2, e, config, ProbeOutcome.REFLECTED)
+    p_t.flags.writeable = p_r.flags.writeable = False
     return p_t, p_r
 
 
@@ -296,8 +294,8 @@ def apply_probe(
     probability depends on the populations only; conditioning rescales
     every entry by its outcome factor.
     """
-    _require_untwisted(config)
-    p_t, p_r = _factor_matrices(model, rho.labels, rho.matrix, config)
+    _require_supported(model, rho)
+    p_t, p_r = _factors(model, rho.labels, config)
     factors = p_t if s is ProbeOutcome.TRANSMITTED else p_r
     probability = float(np.real(np.sum(rho.diagonal() * np.diagonal(factors))))
     if probability < _ZERO_TOLERANCE:
@@ -378,10 +376,10 @@ def simulate_stream(
     is rho0 * p_t**n * p_r**(k - n) / trace entrywise; coherences, kept
     states and the final state come from that closed form, in log space.
     """
-    _require_untwisted(config)
     if n_probes < 0:
         raise ValueError("probe count must be nonnegative")
-    p_t, p_r = _factor_matrices(model, rho.labels, rho.matrix, config)
+    _require_supported(model, rho)
+    p_t, p_r = _factors(model, rho.labels, config)
     diag_t, diag_r = (np.real(np.diagonal(p)).tolist() for p in (p_t, p_r))
     populations = np.real(np.diagonal(rho.matrix)).tolist()
     transmitted, probabilities = [], []
@@ -484,18 +482,11 @@ def fixed_state(
             f"{{{', '.join(model.charge_name(a) for a in kappa.members)}}}"
         )
     matrix /= weight
-    for i in range(len(rho.labels)):
-        for j in range(len(rho.labels)):
-            if i == j or not matrix[i, j]:
-                continue
-            status, e = _connecting_charge(model, rho.labels[i], rho.labels[j])
-            if status == "ambiguous":
-                raise UnsupportedBasisChange(
-                    "no unique connecting charge for a populated entry; "
-                    "cannot apply the decoherence rule"
-                )
-            if status == "zero" or abs(model.monodromy[e, kappa.probe] - 1.0) > _CLASS_TOLERANCE:
-                matrix[i, j] = 0.0
+    charges = _connecting_charges(model, rho.labels)
+    populated = (matrix != 0) & ~np.eye(len(rho.labels), dtype=bool)
+    _require_supported(model, rho, populated)
+    blind = (charges >= 0) & (np.abs(model.monodromy[charges, kappa.probe] - 1.0) <= _CLASS_TOLERANCE)
+    matrix[populated & ~blind] = 0.0
     return AnyonicDensityMatrix(model=model, labels=rho.labels, matrix=matrix)
 
 
@@ -508,7 +499,6 @@ def asymptotic_measure(
     be indistinguishable in outcome statistics, so that raises
     DegenerateTuning rather than returning an ill-defined table.
     """
-    _require_untwisted(config)
     partition = equivalence_classes(model, config.probe, config)
     for i, first in enumerate(partition.classes):
         for second in partition.classes[i + 1:]:
@@ -521,7 +511,7 @@ def asymptotic_measure(
                     + f"}} share transmission {first.transmission!r}; "
                     "outcome statistics cannot separate them"
                 )
-    _factor_matrices(model, rho.labels, rho.matrix, config)
+    _require_supported(model, rho)
     table = []
     for kappa in partition.classes:
         weight = rho.charge_weight(kappa.members)
@@ -539,10 +529,9 @@ def outcome_distribution(
     A mixture of binomials, one per charge class, weighted by the state's
     population of that class.
     """
-    _require_untwisted(config)
     if n_probes < 0:
         raise ValueError("probe count must be nonnegative")
-    _factor_matrices(model, rho.labels, rho.matrix, config)
+    _require_supported(model, rho)
     partition = equivalence_classes(model, config.probe, config)
     distribution = {n: 0.0 for n in range(n_probes + 1)}
     for kappa in partition.classes:

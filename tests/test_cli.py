@@ -1,5 +1,6 @@
 """Configuration merging, subcommand artifacts, and exit codes."""
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -9,9 +10,9 @@ import numpy as np
 import pytest
 
 import oracles
-from topoprobe import ParseError, UnitarityViolation
+from topoprobe import ParseError, UnitarityViolation, interferometer
 from topoprobe.cli import RunConfig, main, parse_config
-from topoprobe.cli import _ArtifactWriter
+from topoprobe.cli import _CONFIG_TABLE, _ArtifactWriter, _build_parser, _flag_overrides
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -79,6 +80,9 @@ def test_negative_seed_wraps_to_64_bits(tmp_path):
     ({"from": math.nan}, "finite"),
     ({"to": math.inf}, "finite"),
     ({"to": 10**400}, "finite"),
+    ({"t1": True, "r1": False}, "expected a number or"),
+    ({"r2": [True, 0]}, "expected a number or"),
+    ({"initial_state": {"amplitudes": [True, False]}}, "expected a number or"),
 ])
 def test_malformed_config_fields_are_parse_errors(tmp_path, payload, fragment):
     path = write_config(tmp_path, payload)
@@ -133,6 +137,15 @@ def test_twist_strings_parse_like_pairs(tmp_path):
     assert parse_config(path).twists == (0, 2)
     path = write_config(tmp_path, {"twists": [0, 0]}, name="pair.json")
     assert parse_config(path).twists == (0, 0)
+
+
+def test_every_run_field_has_exactly_one_config_key():
+    fields = sorted(name for _, name, *_ in _CONFIG_TABLE)
+    assert fields == sorted(f.name for f in dataclasses.fields(RunConfig))
+    keys = {key for key, *_ in _CONFIG_TABLE}
+    assert len(keys) == len(_CONFIG_TABLE)
+    for argv in (["interfere"], ["sweep"]):
+        assert set(_flag_overrides(_build_parser().parse_args(argv))) <= keys
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +257,23 @@ def test_interfere_seed_changes_the_outcomes(tmp_path):
         assert code == 0
     assert ((out_a / "trajectories.jsonl").read_text()
             != (out_b / "trajectories.jsonl").read_text())
+
+
+def test_factor_table_is_built_once_per_run(tmp_path, monkeypatch):
+    calls = {}
+    counted = interferometer.p_factor
+
+    def counting(*args):
+        calls[trials] += 1
+        return counted(*args)
+
+    monkeypatch.setattr(interferometer, "p_factor", counting)
+    for trials in (1, 50):
+        calls[trials] = 0
+        code = main(["interfere", "--probes", "40", "--trials", str(trials),
+                     "--out", str(tmp_path / str(trials))])
+        assert code == 0
+    assert calls[50] <= calls[1] <= 14
 
 
 def test_degenerate_tuning_exits_without_artifacts(tmp_path, capsys):

@@ -55,7 +55,6 @@ def test_default_config_is_the_symmetric_splitter():
     inv = 1.0 / math.sqrt(2.0)
     assert (config.t1, config.r1, config.t2, config.r2) == (inv, inv, inv, inv)
     assert config.delta == 0.0
-    assert config.twists == (0, 0)
 
 
 def test_nonunitary_splitter_is_rejected():
@@ -77,17 +76,6 @@ def test_nonfinite_splitter_amplitudes_are_rejected(field, value):
 def test_nonfinite_path_phases_are_rejected(field, value):
     with pytest.raises(ValueError, match="finite"):
         InterferometerConfig(probe=SIGMA, **{field: value})
-
-
-def test_twists_must_be_a_pair():
-    with pytest.raises(ValueError, match="pair"):
-        InterferometerConfig(probe=SIGMA, twists=(1, 2, 3))
-
-
-def test_twisted_config_is_refused_by_the_untwisted_channel():
-    config = InterferometerConfig(probe=SIGMA, twists=(1, 1))
-    with pytest.raises(ValueError, match="untwisted"):
-        apply_probe(ising(), qubit_state(1.0, 0.0), config, ProbeOutcome.TRANSMITTED)
 
 
 def test_outcome_enum_serialization_labels():
@@ -271,11 +259,23 @@ def test_fermion_probe_cannot_see_the_qubit():
     assert 0.0 < pr <= 1.0
 
 
-def test_sigma_diagonal_pair_needs_an_unsupported_recoupling():
-    labels = ((SIGMA, SIGMA, I),)
-    rho = density_matrix(ising(), labels, np.eye(1, dtype=complex))
+SIGMA_PAIR = ((SIGMA, SIGMA, I),)
+
+
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda rho: apply_probe(ising(), rho, sigma_config(), ProbeOutcome.TRANSMITTED),
+                 id="apply_probe"),
+    pytest.param(lambda rho: simulate_stream(ising(), rho, sigma_config(), 5, seed=0),
+                 id="simulate_stream"),
+    pytest.param(lambda rho: asymptotic_measure(ising(), rho, sigma_config()),
+                 id="asymptotic_measure"),
+    pytest.param(lambda rho: outcome_distribution(ising(), rho, sigma_config(), 5),
+                 id="outcome_distribution"),
+])
+def test_sigma_diagonal_pair_needs_an_unsupported_recoupling(run):
+    rho = density_matrix(ising(), SIGMA_PAIR, np.eye(1, dtype=complex))
     with pytest.raises(UnsupportedBasisChange, match="recoupling"):
-        apply_probe(ising(), rho, sigma_config(), ProbeOutcome.TRANSMITTED)
+        run(rho)
 
 
 def test_bare_sigma_target_transmits_evenly():
@@ -375,6 +375,15 @@ def test_fixed_states_of_the_qubit():
     assert np.max(np.abs(ferm.matrix - np.diag([0.0, 1.0]))) < 1e-12
     with pytest.raises(ZeroProbability, match="sigma"):
         fixed_state(ising(), rho, by_member[(SIGMA,)])
+
+
+def test_fixed_state_leaves_an_ambiguous_diagonal_alone():
+    # fixed_state decoheres off-diagonal entries only, so the one-label
+    # sigma pair, whose diagonal has no unique connecting charge, passes
+    rho = density_matrix(ising(), SIGMA_PAIR, np.eye(1, dtype=complex))
+    partition = equivalence_classes(ising(), SIGMA, sigma_config())
+    kappa = next(k for k in partition.classes if k.members == (SIGMA,))
+    assert np.array_equal(fixed_state(ising(), rho, kappa).matrix, rho.matrix)
 
 
 def test_fixed_state_keeps_probe_blind_coherence():
