@@ -23,7 +23,9 @@ degenerate tuning).
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
+import dataclasses
 import importlib.resources
 import json
 import math
@@ -35,19 +37,7 @@ from typing import Mapping
 import numpy as np
 
 from . import rng
-from .errors import (
-    ConsistencyViolation,
-    DegenerateTuning,
-    ForbiddenConnectingCharge,
-    InvalidCore,
-    MissingVacuum,
-    NonAbelianSlide,
-    NonMultiplicityFree,
-    ParseError,
-    UnitarityViolation,
-    UnsupportedBasisChange,
-    ZeroProbability,
-)
+from .errors import ConsistencyViolation, ParseError, TopoprobeError, ZeroProbability
 from .gates import (
     OUTCOMES,
     TWISTED_CHANNEL_TWISTS,
@@ -112,14 +102,17 @@ def _is_number(value) -> bool:
 
 
 def _parse_amplitude(value, field):
+    if _is_number(value):
+        value = (value, 0)
+    if not (isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value))):
+        raise ParseError(f"config field {field!r}: expected a number or [re, im] pair")
     try:
-        if _is_number(value):
-            return complex(value)
-        if isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value)):
-            return complex(value[0], value[1])
+        number = complex(value[0], value[1])
     except OverflowError:
         raise ParseError(f"config field {field!r}: number out of range") from None
-    raise ParseError(f"config field {field!r}: expected a number or [re, im] pair")
+    if not cmath.isfinite(number):
+        raise ParseError(f"config field {field!r}: expected a finite number")
+    return number
 
 
 def _parse_int(value, field, minimum=None):
@@ -170,19 +163,12 @@ def _parse_initial_state(value, field="initial_state"):
         raise ParseError(
             f"config field {field!r}: expected exactly one of 'amplitudes' or 'diagonal'"
         )
-    parsed = {}
-    if "amplitudes" in value:
-        amplitudes = value["amplitudes"]
-        if not (isinstance(amplitudes, list) and len(amplitudes) == 2):
-            raise ParseError(f"config field {field!r}: 'amplitudes' needs two entries")
-        parsed["amplitudes"] = tuple(
-            _parse_amplitude(x, f"{field}.amplitudes") for x in amplitudes
-        )
-    else:
-        diagonal = value["diagonal"]
-        if not (isinstance(diagonal, list) and len(diagonal) == 2):
-            raise ParseError(f"config field {field!r}: 'diagonal' needs two entries")
-        parsed["diagonal"] = tuple(_parse_float(x, f"{field}.diagonal") for x in diagonal)
+    (kind,) = keys
+    entries = value[kind]
+    if not (isinstance(entries, list) and len(entries) == 2):
+        raise ParseError(f"config field {field!r}: {kind!r} needs two entries")
+    parse = _parse_amplitude if kind == "amplitudes" else _parse_float
+    parsed = {kind: tuple(parse(x, f"{field}.{kind}") for x in entries)}
     if "charges" in value:
         charges = value["charges"]
         if not (
@@ -265,48 +251,39 @@ def parse_config(path: str | None, overrides: Mapping | None = None) -> RunConfi
         if key in merged
     })
     _require_unitary_splitters(run.t1, run.r1, run.t2, run.r2)
-    if (
-        run.model_source != "ising"
-        and run.model_source not in _packaged_models()
-        and not Path(run.model_source).is_file()
-    ):
-        raise ParseError(
-            f"unknown model {run.model_source!r}: not a builtin name, "
-            "a packaged model, or an existing file"
-        )
+    _model_file(run.model_source)
     return run
 
 
-def _packaged_models() -> tuple[str, ...]:
-    root = importlib.resources.files(__package__) / "models"
-    return tuple(sorted(p.name[: -len(".json")] for p in root.iterdir() if p.name.endswith(".json")))
+def _model_file(source: str):
+    """File of a model source (a path first, then a packaged name); None for the builtin Ising."""
+    if source == "ising":
+        return None
+    path = Path(source)
+    if not path.is_file():
+        path = importlib.resources.files(__package__) / "models" / f"{source}.json"
+        if not path.is_file():
+            raise ParseError(
+                f"unknown model {source!r}: not a builtin name, a packaged model, or an existing file"
+            )
+    return path
 
 
 def _resolve_model(source: str) -> AnyonModel:
-    if source == "ising":
+    path = _model_file(source)
+    if path is None:
         return ising()
-    path = Path(source)
-    if path.is_file():
-        return load_model(path)
-    packaged = importlib.resources.files(__package__) / "models" / f"{source}.json"
-    with importlib.resources.as_file(packaged) as real_path:
+    with importlib.resources.as_file(path) as real_path:
         return load_model(real_path)
 
 
+# RunConfig fields that InterferometerConfig takes under the same name.
+_SETUP_FIELDS = ("t1", "r1", "t2", "r2", "theta_I", "theta_II")
+
+
 def _interferometer_config(model: AnyonModel, run: RunConfig) -> InterferometerConfig:
-    try:
-        probe = model.charge_index(run.probe_name)
-    except ValueError as err:
-        raise ParseError(str(err)) from None
-    return InterferometerConfig(
-        probe=probe,
-        t1=run.t1,
-        r1=run.r1,
-        t2=run.t2,
-        r2=run.r2,
-        theta_I=run.theta_I,
-        theta_II=run.theta_II,
-    )
+    probe = model.charge_index(run.probe_name)
+    return InterferometerConfig(probe=probe, **{name: getattr(run, name) for name in _SETUP_FIELDS})
 
 
 def _qubit_matrix(run: RunConfig) -> np.ndarray:
@@ -328,11 +305,7 @@ def _qubit_matrix(run: RunConfig) -> np.ndarray:
 def _initial_density(model: AnyonModel, run: RunConfig) -> AnyonicDensityMatrix:
     state = run.initial_state or {}
     names = state.get("charges", (model.charge_name(0), model.charge_name(model.n_charges - 1)))
-    try:
-        pair = tuple(model.charge_index(name) for name in names)
-    except ValueError as err:
-        raise ParseError(str(err)) from None
-    labels = tuple((c, c, 0) for c in pair)
+    labels = tuple((c, c, 0) for c in map(model.charge_index, names))
     try:
         return density_matrix(model, labels, _qubit_matrix(run))
     except ValueError as err:
@@ -367,13 +340,14 @@ class _ArtifactWriter:
 
     def write_json(self, name: str, payload) -> Path:
         path = self._prepare(name)
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n")
+        text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default, allow_nan=False)
+        path.write_text(text + "\n")
         return path
 
     def write_jsonl(self, name: str, records) -> Path:
         """One record per line; records hold only plain JSON types (no numpy)."""
         path = self._prepare(name)
-        lines = [json.dumps(record, sort_keys=True) for record in records]
+        lines = [json.dumps(record, sort_keys=True, allow_nan=False) for record in records]
         path.write_text("\n".join(lines) + ("\n" if lines else ""))
         return path
 
@@ -398,6 +372,12 @@ def _class_name(model: AnyonModel, members) -> str:
     return "+".join(model.charge_name(a) for a in members)
 
 
+def _class_of(model: AnyonModel, state: AnyonicDensityMatrix, partition) -> str:
+    """Name of the charge class that holds most of the state's population."""
+    weights = [state.charge_weight(kappa.members) for kappa in partition.classes]
+    return _class_name(model, partition.classes[int(np.argmax(weights))].members)
+
+
 def _run_validate(run: RunConfig, writer: _ArtifactWriter) -> int:
     try:
         model = _resolve_model(run.model_source)
@@ -419,14 +399,7 @@ def _run_validate(run: RunConfig, writer: _ArtifactWriter) -> int:
                 "model": run.model_source,
                 "passed": report.passed,
                 "tolerance": report.tolerance,
-                "families": {
-                    name: {
-                        "max_residual": fam.max_residual,
-                        "checked": fam.checked,
-                        "failures": [list(f) for f in fam.failures],
-                    }
-                    for name, fam in report.families.items()
-                },
+                "families": {name: dataclasses.asdict(fam) for name, fam in report.families.items()},
             },
         )
     return 0 if report.passed else 1
@@ -453,11 +426,6 @@ def _run_interfere(run: RunConfig, writer: _ArtifactWriter) -> int:
             records.append(
                 {"trial": trial, "k": k, "s": outcome.value, "p_s": p_s, "coherence": coherence}
             )
-        weights = [
-            trajectory.final_state.charge_weight(kappa.members)
-            for kappa in partition.classes
-        ]
-        collapsed = partition.classes[int(np.argmax(weights))]
         summary_rows.append(
             [
                 trial,
@@ -465,7 +433,7 @@ def _run_interfere(run: RunConfig, writer: _ArtifactWriter) -> int:
                 trajectory.n_transmitted,
                 run.n_probes,
                 trajectory.fraction,
-                _class_name(model, collapsed.members),
+                _class_of(model, trajectory.final_state, partition),
             ]
         )
 
@@ -480,7 +448,7 @@ def _run_interfere(run: RunConfig, writer: _ArtifactWriter) -> int:
         [
             {
                 "probability": weight,
-                "charge_class": _class_name(model, _members_of(fixed, partition)),
+                "charge_class": _class_of(model, fixed, partition),
                 "state": {
                     "labels": [[model.charge_name(x) for x in label] for label in fixed.labels],
                     "matrix": fixed.matrix,
@@ -495,14 +463,6 @@ def _run_interfere(run: RunConfig, writer: _ArtifactWriter) -> int:
     )
     print(f"wrote trajectories.jsonl, summary.csv, asymptotic.json in {writer.root}")
     return 0
-
-
-def _members_of(fixed: AnyonicDensityMatrix, partition) -> tuple:
-    # The fixed state carries weight in exactly one class; find it.
-    for kappa in partition.classes:
-        if fixed.charge_weight(kappa.members) > 0.5:
-            return kappa.members
-    return ()
 
 
 def _run_twisted(run: RunConfig, writer: _ArtifactWriter) -> int:
@@ -634,12 +594,12 @@ def _run_dump(run: RunConfig, writer: _ArtifactWriter) -> int:
 
 
 _SUBCOMMANDS = {
-    "validate": _run_validate,
-    "interfere": _run_interfere,
-    "twisted": _run_twisted,
-    "protocol": _run_protocol,
-    "sweep": _run_sweep,
-    "dump": _run_dump,
+    "validate": (_run_validate, "check a model's defining axioms"),
+    "interfere": (_run_interfere, "run seeded probe-stream trajectories"),
+    "twisted": (_run_twisted, "doubly twisted measurement statistics"),
+    "protocol": (_run_protocol, "phase-gate table and residuals"),
+    "sweep": (_run_sweep, "per-class transmission over a parameter grid"),
+    "dump": (_run_dump, "modular and twisted-loop matrices as JSON"),
 }
 
 
@@ -650,7 +610,7 @@ def execute(run: RunConfig, subcommand: str) -> int:
     propagates, so output directories never hold partial results.
     """
     try:
-        handler = _SUBCOMMANDS[subcommand]
+        handler, _ = _SUBCOMMANDS[subcommand]
     except KeyError:
         raise ParseError(f"unknown subcommand {subcommand!r}") from None
     writer = _ArtifactWriter(run.out_dir)
@@ -671,14 +631,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="anyonic interferometry: model checks, probe streams, twisted gates",
     )
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
-    for name, help_text in (
-        ("validate", "check a model's defining axioms"),
-        ("interfere", "run seeded probe-stream trajectories"),
-        ("twisted", "doubly twisted measurement statistics"),
-        ("protocol", "phase-gate table and residuals"),
-        ("sweep", "per-class transmission over a parameter grid"),
-        ("dump", "modular and twisted-loop matrices as JSON"),
-    ):
+    for name, (_, help_text) in _SUBCOMMANDS.items():
         sub = subparsers.add_parser(name, help=help_text)
         sub.add_argument("--model", help="builtin name, packaged model, or JSON file")
         sub.add_argument("--config", help="JSON config file")
@@ -705,23 +658,9 @@ def main(argv=None) -> int:
     try:
         run = parse_config(args.config, _flag_overrides(args))
         return execute(run, args.subcommand)
-    except (MissingVacuum, NonMultiplicityFree, ConsistencyViolation) as err:
+    except (TopoprobeError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (ZeroProbability, DegenerateTuning) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except (
-        ParseError,
-        UnitarityViolation,
-        UnsupportedBasisChange,
-        ForbiddenConnectingCharge,
-        NonAbelianSlide,
-        InvalidCore,
-        ValueError,
-    ) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return getattr(err, "exit_code", 2)
 
 
 if __name__ == "__main__":

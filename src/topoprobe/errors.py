@@ -2,7 +2,9 @@
 
 Every error raised by the library derives from :class:`TopoprobeError`, so
 callers (including the command line front end) can distinguish domain
-failures from programming errors with a single except clause.
+failures from programming errors with a single except clause. Each kind
+carries the command line's exit status as ``exit_code``: 1 for model
+validation failures, 3 for numeric refusals, 2 for everything else.
 """
 
 from __future__ import annotations
@@ -11,13 +13,19 @@ from __future__ import annotations
 class TopoprobeError(Exception):
     """Base class for all domain errors raised by this package."""
 
+    exit_code = 2
+
 
 class MissingVacuum(TopoprobeError):
     """The charge at index 0 does not behave as the vacuum, or there is none."""
 
+    exit_code = 1
+
 
 class NonMultiplicityFree(TopoprobeError):
     """A fusion multiplicity exceeds 1; only multiplicity-free theories are supported."""
+
+    exit_code = 1
 
 
 class ConsistencyViolation(TopoprobeError):
@@ -26,6 +34,8 @@ class ConsistencyViolation(TopoprobeError):
     Carries the full consistency report (when available) as ``report`` so the
     failing equation instances and their residuals can be inspected.
     """
+
+    exit_code = 1
 
     def __init__(self, message, report=None):
         super().__init__(message)
@@ -47,9 +57,13 @@ class UnsupportedBasisChange(TopoprobeError):
 class ZeroProbability(TopoprobeError):
     """Conditioning was requested on an outcome of negligible probability."""
 
+    exit_code = 3
+
 
 class DegenerateTuning(TopoprobeError):
     """Two charge classes share a transmission probability; outcome statistics cannot separate them."""
+
+    exit_code = 3
 
 
 class NonAbelianSlide(TopoprobeError):

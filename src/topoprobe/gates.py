@@ -22,12 +22,11 @@ import numpy as np
 
 from . import rng
 from .errors import ZeroProbability
-from .interferometer import AnyonicDensityMatrix, density_matrix
+from .interferometer import AnyonicDensityMatrix, _require_density, density_matrix
 from .model import AnyonModel, ising
 from .surgery import twisted_operator
 
 _ZERO_TOLERANCE = 1e-12
-_VALIDATION_TOLERANCE = 1e-9
 
 VACUUM_OUTCOME = "I"
 FERMION_OUTCOME = "psi"
@@ -83,12 +82,7 @@ class QubitDensity:
         matrix = np.array(self.matrix, dtype=complex)
         if matrix.shape != (2, 2):
             raise ValueError("qubit density matrix must be 2x2")
-        if float(np.max(np.abs(matrix - matrix.conj().T))) > _VALIDATION_TOLERANCE:
-            raise ValueError("qubit density matrix must be Hermitian")
-        if abs(complex(np.trace(matrix)) - 1.0) > _VALIDATION_TOLERANCE:
-            raise ValueError("qubit density matrix must have unit trace")
-        if float(np.min(np.linalg.eigvalsh(matrix))) < -_VALIDATION_TOLERANCE:
-            raise ValueError("qubit density matrix must be positive semidefinite")
+        _require_density(matrix, "qubit density matrix")
         matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
 

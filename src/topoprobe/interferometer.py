@@ -57,7 +57,8 @@ class ProbeOutcome(enum.Enum):
 def _require_unitary_splitters(t1, r1, t2, r2):
     """Raise UnitarityViolation unless |t|^2 + |r|^2 = 1 for both splitters."""
     for label, t, r in (("1", t1, r1), ("2", t2, r2)):
-        gap = abs(abs(t) ** 2 + abs(r) ** 2 - 1.0)
+        # huge amplitudes make these products inf, where float ** would raise OverflowError
+        gap = abs(abs(t) * abs(t) + abs(r) * abs(r) - 1.0)
         if not (gap <= _UNITARITY_TOLERANCE):
             raise UnitarityViolation(
                 f"splitter {label} is not unitary: |t{label}|^2 + |r{label}|^2 "
@@ -142,6 +143,18 @@ def _coherence(matrices: np.ndarray) -> np.ndarray:
     return np.divide(peak, top, out=np.zeros_like(peak), where=top > 0.0)
 
 
+def _require_density(matrix: np.ndarray, kind: str) -> None:
+    """Raise ValueError unless matrix is Hermitian, unit-trace and PSD; a NaN or inf entry never passes."""
+    with np.errstate(invalid="ignore"):
+        asymmetry = float(np.abs(matrix - matrix.conj().T).max())
+    if not asymmetry <= _CLASS_TOLERANCE:
+        raise ValueError(f"{kind} must be Hermitian")
+    if not abs(complex(matrix.trace()) - 1.0) <= _CLASS_TOLERANCE:
+        raise ValueError(f"{kind} must have unit trace")
+    if not float(np.linalg.eigvalsh(matrix)[0]) >= -_CLASS_TOLERANCE:  # eigenvalues ascend
+        raise ValueError(f"{kind} must be positive semidefinite")
+
+
 def density_matrix(
     model: AnyonModel,
     labels: Sequence[tuple[Charge, Charge, Charge]],
@@ -153,7 +166,8 @@ def density_matrix(
     the matrix is Hermitian, unit-trace, positive semidefinite, and that no
     entry couples different total charges.
     """
-    labels = tuple(tuple(int(x) for x in lab) for lab in labels)
+    rho = AnyonicDensityMatrix(model=model, labels=labels, matrix=matrix)
+    labels, matrix = rho.labels, rho.matrix
     if len(set(labels)) != len(labels):
         raise ValueError("duplicate basis labels")
     n_charges = model.n_charges
@@ -165,15 +179,7 @@ def density_matrix(
                 f"label ({model.charge_name(a)}, {model.charge_name(c)}, "
                 f"{model.charge_name(f)}) is not fusion-allowed"
             )
-    matrix = np.array(matrix, dtype=complex)
-    if matrix.shape != (len(labels), len(labels)):
-        raise ValueError("matrix shape must match the label count")
-    if float(np.max(np.abs(matrix - matrix.conj().T))) > _CLASS_TOLERANCE:
-        raise ValueError("density matrix must be Hermitian")
-    if abs(complex(np.trace(matrix)) - 1.0) > _CLASS_TOLERANCE:
-        raise ValueError("density matrix must have unit trace")
-    if float(np.min(np.linalg.eigvalsh(matrix))) < -_CLASS_TOLERANCE:
-        raise ValueError("density matrix must be positive semidefinite")
+    _require_density(matrix, "density matrix")
     for i, (_, _, fi) in enumerate(labels):
         for j, (_, _, fj) in enumerate(labels):
             if fi != fj and abs(matrix[i, j]) > _ZERO_TOLERANCE:
@@ -181,7 +187,7 @@ def density_matrix(
                     "superselection violated: entry couples total charges "
                     f"{model.charge_name(fi)} and {model.charge_name(fj)}"
                 )
-    return AnyonicDensityMatrix(model=model, labels=labels, matrix=matrix)
+    return rho
 
 
 # ---------------------------------------------------------------------------

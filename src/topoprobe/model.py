@@ -467,6 +467,24 @@ def build_model(description: Mapping) -> AnyonModel:
         except (KeyError, TypeError):
             raise ValueError(f"unknown charge {name!r} in {where}") from None
 
+    def read(key, noun, shape):
+        """Entries of one [*charges, re, im] table by charge-index tuple; shape names the row."""
+        arity, table = shape.count(",") - 1, {}
+        for entry in description.get(key, ()):
+            if len(entry) != arity + 2:
+                raise ValueError(f"{noun} entry {entry!r} is not {shape}")
+            labels = tuple(look(name, f"{noun} table") for name in entry[:arity])
+            table[labels] = _as_complex(*entry[arity:], f"{noun} table")
+        return table
+
+    def complete(provided, keys, noun):
+        """Symbols over every fusion-allowed key, 1 where not provided; no provided key may be left."""
+        symbols = {key: provided.pop(key, 1.0 + 0j) for key in keys}
+        if provided:
+            names = ", ".join(charges[i] for i in next(iter(provided)))
+            raise ValueError(f"{noun} entry ({names}) is not allowed by the fusion rules")
+        return symbols
+
     fusion = np.zeros((n, n, n), dtype=np.uint8)
     seen = set()
     for row in description.get("fusion", ()):
@@ -508,6 +526,8 @@ def build_model(description: Mapping) -> AnyonModel:
     for a in range(n):
         dims[a] = float(np.max(np.abs(np.linalg.eigvals(fusion[a].astype(float)))))
     for entry in description.get("dims", ()):
+        if len(entry) != 2:
+            raise ValueError(f"dims entry {entry!r} is not [charge, value]")
         a = look(entry[0], "dims table")
         if not (abs(dims[a] - float(entry[1])) <= DEFAULT_TOLERANCE):
             raise ConsistencyViolation(
@@ -517,45 +537,14 @@ def build_model(description: Mapping) -> AnyonModel:
     total_dim = float(math.sqrt(np.sum(dims**2)))
 
     twists = np.ones(n, dtype=complex)
-    for entry in description.get("twists", ()):
-        if len(entry) != 3:
-            raise ValueError(f"twist entry {entry!r} is not [charge, re, im]")
-        twists[look(entry[0], "twist table")] = _as_complex(entry[1], entry[2], "twist table")
-
-    provided_f = {}
-    for entry in description.get("F", ()):
-        if len(entry) != 8:
-            raise ValueError(f"F entry {entry!r} is not [a, b, c, d, e, f, re, im]")
-        key = tuple(look(name, "F table") for name in entry[:6])
-        provided_f[key] = _as_complex(entry[6], entry[7], "F table")
-    provided_r = {}
-    for entry in description.get("R", ()):
-        if len(entry) != 5:
-            raise ValueError(f"R entry {entry!r} is not [a, b, c, re, im]")
-        key = tuple(look(name, "R table") for name in entry[:3])
-        provided_r[key] = _as_complex(entry[3], entry[4], "R table")
-
-    f_symbols = {
-        (*abcd, e, f): provided_f.pop((*abcd, e, f), 1.0 + 0j)
-        for abcd, es, fs in _f_blocks(outcomes)
-        for e in es
-        for f in fs
-    }
-    if provided_f:
-        bad = next(iter(provided_f))
-        names = ", ".join(charges[i] for i in bad)
-        raise ValueError(f"F entry ({names}) is not allowed by the fusion rules")
-
-    r_symbols = {
-        (a, b, c): provided_r.pop((a, b, c), 1.0 + 0j)
-        for a in range(n)
-        for b in range(n)
-        for c in outcomes[a][b]
-    }
-    if provided_r:
-        bad = next(iter(provided_r))
-        names = ", ".join(charges[i] for i in bad)
-        raise ValueError(f"R entry ({names}) is not allowed by the fusion rules")
+    for (a,), value in read("twists", "twist", "[charge, re, im]").items():
+        twists[a] = value
+    provided_f = read("F", "F", "[a, b, c, d, e, f, re, im]")
+    provided_r = read("R", "R", "[a, b, c, re, im]")
+    f_keys = ((*abcd, e, f) for abcd, es, fs in _f_blocks(outcomes) for e in es for f in fs)
+    f_symbols = complete(provided_f, f_keys, "F")
+    r_keys = ((a, b, c) for a in range(n) for b in range(n) for c in outcomes[a][b])
+    r_symbols = complete(provided_r, r_keys, "R")
 
     s_matrix = _ribbon_s(outcomes, dual, dims, twists, total_dim)
     if "S" in description:

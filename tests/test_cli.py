@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
-from topoprobe import ParseError, UnitarityViolation, interferometer
+from topoprobe import ParseError, TopoprobeError, UnitarityViolation, cli, errors, interferometer
 from topoprobe.cli import RunConfig, main, parse_config
 from topoprobe.cli import _CONFIG_TABLE, _ArtifactWriter, _build_parser, _flag_overrides
 
@@ -116,6 +116,10 @@ def test_nonunitary_splitters_fail_fast(tmp_path):
     {"theta_II": -math.inf},
     {"theta_I": 10**400},
     {"t2": 10**400},
+    {"t1": 1e200},
+    {"initial_state": {"amplitudes": [math.nan, 1.0]}},
+    {"initial_state": {"amplitudes": [[1.0, math.inf], 1.0]}},
+    {"initial_state": {"amplitudes": [1.0, -math.inf]}},
 ])
 def test_nonfinite_config_values_exit_2(tmp_path, capsys, payload):
     path = write_config(tmp_path, payload)
@@ -124,6 +128,26 @@ def test_nonfinite_config_values_exit_2(tmp_path, capsys, payload):
     assert code == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("amplitudes", [[math.nan, 1.0], [[1.0, math.inf], 1.0]])
+def test_nonfinite_amplitudes_exit_2_on_the_twisted_path(tmp_path, capsys, amplitudes):
+    path = write_config(tmp_path, {"initial_state": {"amplitudes": amplitudes}})
+    out = tmp_path / "artifacts"
+    assert main(["twisted", "--config", path, "--out", str(out)]) == 2
+    assert "expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", [key for key, *_ in _CONFIG_TABLE])
+def test_every_config_key_refuses_nonfinite_values(tmp_path, monkeypatch, capsys, key, value):
+    # no --out flag, so a run that got through would write into the working directory
+    path = write_config(tmp_path, {key: value})
+    monkeypatch.chdir(tmp_path)
+    assert main(["interfere", "--config", path]) == 2
+    assert f"{key!r}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 def test_unknown_model_is_rejected_at_parse_time(tmp_path):
@@ -402,6 +426,71 @@ def test_dump_works_for_loaded_models(tmp_path):
 
 # ---------------------------------------------------------------------------
 # plumbing
+
+
+@pytest.mark.parametrize("write", [
+    lambda writer: writer.write_json("a.json", {"x": math.nan}),
+    lambda writer: writer.write_jsonl("a.jsonl", [{"x": 1.0}, {"x": math.inf}]),
+], ids=["json", "jsonl"])
+def test_json_writers_refuse_nonfinite_numbers(tmp_path, write):
+    with pytest.raises(ValueError, match="JSON compliant"):
+        write(_ArtifactWriter(str(tmp_path)))
+
+
+def test_a_nan_artifact_rolls_back_the_run(tmp_path, monkeypatch, capsys):
+    exact = cli.asymptotic_measure
+    monkeypatch.setattr(
+        cli, "asymptotic_measure",
+        lambda *args: [(math.nan, fixed) for _, fixed in exact(*args)],
+    )
+    out = tmp_path / "run"
+    assert main(interfere_args(out)) == 2
+    assert "JSON compliant" in capsys.readouterr().err
+    # trajectories.jsonl and summary.csv were written before asymptotic.json failed
+    assert list(out.iterdir()) == []
+
+
+def _error_classes():
+    return [
+        value for value in vars(errors).values()
+        if isinstance(value, type) and issubclass(value, TopoprobeError) and value is not TopoprobeError
+    ]
+
+
+# Exit status per error kind, as the README documents it.
+_DOCUMENTED_EXIT = {
+    "MissingVacuum": 1, "NonMultiplicityFree": 1, "ConsistencyViolation": 1,
+    "ZeroProbability": 3, "DegenerateTuning": 3,
+}
+
+
+@pytest.mark.parametrize("error", [*_error_classes(), ValueError], ids=lambda error: error.__name__)
+def test_each_error_kind_maps_to_its_documented_exit_code(monkeypatch, capsys, error):
+    def failing(run, subcommand):
+        raise error("injected failure")
+
+    monkeypatch.setattr(cli, "execute", failing)
+    assert main(["protocol"]) == _DOCUMENTED_EXIT.get(error.__name__, 2)
+    assert capsys.readouterr().err == "error: injected failure\n"
+
+
+def test_an_unlisted_error_kind_is_a_usage_error(monkeypatch, capsys):
+    class Unforeseen(TopoprobeError):
+        pass
+
+    def failing(run, subcommand):
+        raise Unforeseen("new kind")
+
+    monkeypatch.setattr(cli, "execute", failing)
+    assert main(["protocol"]) == 2
+    assert capsys.readouterr().err == "error: new kind\n"
+
+
+def test_a_short_dims_row_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "short_dims.json"
+    path.write_text(json.dumps({"charges": ["I"], "fusion": [["I", "I", "I"]], "dims": [["I"]]}))
+    assert main(["validate", "--model", str(path)]) == 2
+    assert "dims entry ['I'] is not [charge, value]" in capsys.readouterr().err
 
 
 def test_failed_runs_leave_no_partial_files(tmp_path):

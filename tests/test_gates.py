@@ -68,6 +68,10 @@ def test_zero_vector_is_not_a_state():
     (np.array([[0.5, 0.4], [0.1, 0.5]]), "Hermitian"),
     (np.eye(2), "unit trace"),
     (np.array([[0.9, 0.5], [0.5, 0.1]]), "positive semidefinite"),
+    (np.array([[math.nan, 0.0], [0.0, 1.0]]), "Hermitian"),
+    (np.array([[0.5, math.nan], [math.nan, 0.5]]), "Hermitian"),
+    (np.array([[math.inf, 0.0], [0.0, 1.0]]), "Hermitian"),
+    (np.array([[0.5, complex(0.0, math.inf)], [complex(0.0, -math.inf), 0.5]]), "Hermitian"),
 ])
 def test_invalid_qubit_densities_are_rejected(matrix, message):
     with pytest.raises(ValueError, match=message):

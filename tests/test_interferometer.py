@@ -65,7 +65,9 @@ def test_nonunitary_splitter_is_rejected():
 
 
 @pytest.mark.parametrize("field", ["t1", "r1", "t2", "r2"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.5, math.nan)])
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, complex(0.5, math.nan), 1e200, complex(1e308, 1e308)]
+)
 def test_nonfinite_splitter_amplitudes_are_rejected(field, value):
     with pytest.raises(UnitarityViolation, match="not unitary"):
         InterferometerConfig(probe=SIGMA, **{field: value})
@@ -187,6 +189,11 @@ def test_density_matrix_accepts_the_plus_state():
     (QUBIT_LABELS, np.eye(2), "unit trace"),
     (QUBIT_LABELS, np.array([[0.9, 0.5], [0.5, 0.1]]), "positive semidefinite"),
     (QUBIT_LABELS, np.eye(3) / 3.0, "shape"),
+    (QUBIT_LABELS, np.array([[math.nan, 0.0], [0.0, 1.0]]), "Hermitian"),
+    (QUBIT_LABELS, np.array([[0.5, math.nan], [math.nan, 0.5]]), "Hermitian"),
+    (QUBIT_LABELS, np.array([[math.inf, 0.0], [0.0, 1.0]]), "Hermitian"),
+    (QUBIT_LABELS, np.array([[0.5, math.inf], [math.inf, 0.5]]), "Hermitian"),
+    (QUBIT_LABELS, np.array([[1.0, 0.0], [0.0, -math.inf]]), "Hermitian"),
 ])
 def test_invalid_states_are_rejected(labels, matrix, message):
     with pytest.raises(ValueError, match=message):

@@ -294,6 +294,8 @@ def test_charge_without_unique_conjugate_is_rejected():
     (lambda d: d["R"].append(["sigma", "sigma", "sigma", 1.0, 0.0]), "not allowed"),
     (lambda d: d["R"].append(["sigma", "sigma", 1.0, 0.0]), "R entry"),
     (lambda d: d["twists"].append(["psi", -1.0]), "twist entry"),
+    (lambda d: d.update(dims=[["sigma"]]), "dims entry"),
+    (lambda d: d.update(dims=[["sigma", 1.0, 0.0]]), "dims entry"),
     (lambda d: d.update(charges=["I", "sigma", "psi", "I"]), "duplicate charge"),
     (lambda d: d["F"][0].__setitem__(6, math.nan), "finite"),
     (lambda d: d["R"][0].__setitem__(4, math.inf), "finite"),
