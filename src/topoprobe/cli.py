@@ -40,7 +40,6 @@ from . import rng
 from .errors import ConsistencyViolation, ParseError, TopoprobeError, ZeroProbability
 from .gates import (
     OUTCOMES,
-    TWISTED_CHANNEL_TWISTS,
     QubitDensity,
     magic_state,
     protocol_check,
@@ -52,6 +51,8 @@ from .gates import (
     twisted_measure,
 )
 from .interferometer import (
+    _INV_SQRT2,
+    _ZERO_TOLERANCE,
     AnyonicDensityMatrix,
     InterferometerConfig,
     _require_unitary_splitters,
@@ -63,10 +64,7 @@ from .interferometer import (
 from .model import AnyonModel, ising, load_model, verify_consistency
 from .surgery import modular_matrices, twisted_operator
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
 _SWEEP_PARAMS = ("delta", "theta_I", "theta_II")
-_ALLOWED_TWISTS = ((0, 0), TWISTED_CHANNEL_TWISTS)
 
 
 @dataclass(frozen=True)
@@ -74,14 +72,13 @@ class RunConfig:
     """Fully resolved run parameters shared by all subcommands."""
 
     model_source: str = "ising"
-    t1: complex = _INV_SQRT2
-    r1: complex = _INV_SQRT2
-    t2: complex = _INV_SQRT2
-    r2: complex = _INV_SQRT2
+    t1: complex = InterferometerConfig.t1
+    r1: complex = InterferometerConfig.r1
+    t2: complex = InterferometerConfig.t2
+    r2: complex = InterferometerConfig.r2
     theta_I: float = 0.0
     theta_II: float = 0.0
     probe_name: str = "sigma"
-    twists: tuple[int, int] = (0, 0)
     n_probes: int = 100
     trials: int = 1
     seed: int = 0
@@ -135,26 +132,6 @@ def _parse_float(value, field):
     return number
 
 
-def _parse_twists(value, field="twists"):
-    if isinstance(value, str):
-        parts = value.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"config field {field!r}: expected 'l,r'")
-        try:
-            value = [int(p) for p in parts]
-        except ValueError:
-            raise ParseError(f"config field {field!r}: expected 'l,r' with integers") from None
-    if not (isinstance(value, (list, tuple)) and len(value) == 2):
-        raise ParseError(f"config field {field!r}: expected a pair [l, r]")
-    pair = tuple(_parse_int(x, field) for x in value)
-    if pair not in _ALLOWED_TWISTS:
-        raise ParseError(
-            f"config field {field!r}: twist pair {pair} is not supported; "
-            "use [0, 0] (untwisted) or [0, 2] (doubly twisted right arm)"
-        )
-    return pair
-
-
 def _parse_initial_state(value, field="initial_state"):
     if not isinstance(value, dict):
         raise ParseError(f"config field {field!r}: expected an object")
@@ -204,7 +181,6 @@ _CONFIG_TABLE = (
     ("theta_I", "theta_I", _parse_float),
     ("theta_II", "theta_II", _parse_float),
     ("probe", "probe_name", _parse_string, "a charge name"),
-    ("twists", "twists", _parse_twists),
     ("probes", "n_probes", _parse_int, 0),
     ("trials", "trials", _parse_int, 1),
     ("seed", "seed", lambda value, field: _parse_int(value, field) % 2**64),
@@ -286,28 +262,35 @@ def _interferometer_config(model: AnyonModel, run: RunConfig) -> InterferometerC
     return InterferometerConfig(probe=probe, **{name: getattr(run, name) for name in _SETUP_FIELDS})
 
 
-def _qubit_matrix(run: RunConfig) -> np.ndarray:
-    state = run.initial_state or {"amplitudes": (complex(_INV_SQRT2), complex(_INV_SQRT2))}
+def _rescaled(values: np.ndarray, size) -> tuple[np.ndarray, float]:
+    """values and size(values), divided first by the largest component when size overflows."""
+    with np.errstate(over="ignore"):
+        total = float(size(values))
+    if math.isinf(total):
+        values = values / np.abs(values.view(float)).max()
+        total = float(size(values))
+    return values, total
+
+
+def _initial_state(run: RunConfig, model: AnyonModel | None = None):
+    """Configured initial state on two of the model's charge lines, or a bare qubit without a model."""
+    state = run.initial_state or {"amplitudes": (_INV_SQRT2, _INV_SQRT2)}
+    if model is not None:
+        names = state.get("charges", (model.charge_name(0), model.charge_name(model.n_charges - 1)))
+        labels = tuple((c, c, 0) for c in map(model.charge_index, names))
     if "amplitudes" in state:
-        vector = np.array(state["amplitudes"], dtype=complex)
-        norm = float(np.linalg.norm(vector))
-        if norm < 1e-12:
+        vector, norm = _rescaled(np.array(state["amplitudes"], dtype=complex), np.linalg.norm)
+        if norm < _ZERO_TOLERANCE:
             raise ParseError("config field 'initial_state': amplitudes cannot all vanish")
         vector = vector / norm
-        return np.outer(vector, vector.conj())
-    weights = np.array(state["diagonal"], dtype=float)
-    total = float(np.sum(weights))
-    if total < 1e-12 or np.any(weights < 0):
-        raise ParseError("config field 'initial_state': diagonal weights must be nonnegative and sum above 0")
-    return np.diag(weights / total).astype(complex)
-
-
-def _initial_density(model: AnyonModel, run: RunConfig) -> AnyonicDensityMatrix:
-    state = run.initial_state or {}
-    names = state.get("charges", (model.charge_name(0), model.charge_name(model.n_charges - 1)))
-    labels = tuple((c, c, 0) for c in map(model.charge_index, names))
+        matrix = np.outer(vector, vector.conj())
+    else:
+        weights, total = _rescaled(np.array(state["diagonal"], dtype=float), np.sum)
+        if total < _ZERO_TOLERANCE or np.any(weights < 0):
+            raise ParseError("config field 'initial_state': diagonal weights must be nonnegative and sum above 0")
+        matrix = np.diag(weights / total).astype(complex)
     try:
-        return density_matrix(model, labels, _qubit_matrix(run))
+        return QubitDensity(matrix) if model is None else density_matrix(model, labels, matrix)
     except ValueError as err:
         raise ParseError(f"initial state is invalid: {err}") from None
 
@@ -406,11 +389,9 @@ def _run_validate(run: RunConfig, writer: _ArtifactWriter) -> int:
 
 
 def _run_interfere(run: RunConfig, writer: _ArtifactWriter) -> int:
-    if run.twists == TWISTED_CHANNEL_TWISTS:
-        return _run_twisted(run, writer)
     model = _resolve_model(run.model_source)
     config = _interferometer_config(model, run)
-    rho = _initial_density(model, run)
+    rho = _initial_state(run, model)
     collapse_table = asymptotic_measure(model, rho, config)
     partition = equivalence_classes(model, config.probe, config)
 
@@ -465,10 +446,14 @@ def _run_interfere(run: RunConfig, writer: _ArtifactWriter) -> int:
     return 0
 
 
-def _run_twisted(run: RunConfig, writer: _ArtifactWriter) -> int:
+def _require_ising(run: RunConfig) -> None:
     if run.model_source != "ising":
         raise ParseError("the twisted measurement path is defined for the ising model")
-    rho = QubitDensity(_qubit_matrix(run))
+
+
+def _run_twisted(run: RunConfig, writer: _ArtifactWriter) -> int:
+    _require_ising(run)
+    rho = _initial_state(run)
 
     counts = {name: 0 for name in OUTCOMES}
     for trial in range(run.trials):
@@ -509,6 +494,7 @@ def _run_twisted(run: RunConfig, writer: _ArtifactWriter) -> int:
 
 
 def _run_protocol(run: RunConfig, writer: _ArtifactWriter) -> int:
+    _require_ising(run)
     b = modular_matrices(ising()).b
     table = []
     for a in OUTCOMES:
@@ -544,7 +530,7 @@ def _run_sweep(run: RunConfig, writer: _ArtifactWriter) -> int:
     if run.sweep_steps < 1:
         raise ParseError("sweep needs --steps of at least 1")
     model = _resolve_model(run.model_source)
-    rho = _initial_density(model, run)
+    rho = _initial_state(run, model)
     grid = np.linspace(run.sweep_start, run.sweep_stop, run.sweep_steps)
     rows = []
     for value in grid:
@@ -639,7 +625,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--trials", type=int, help="number of trajectories")
         sub.add_argument("--seed", type=int, help="base seed (64-bit)")
         sub.add_argument("--out", help="output directory")
-        sub.add_argument("--twists", help="arm twist counts 'l,r'")
         if name == "sweep":
             sub.add_argument("--param", help="one of " + ", ".join(_SWEEP_PARAMS))
             sub.add_argument("--from", type=float, help="grid start")

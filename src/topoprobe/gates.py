@@ -22,19 +22,13 @@ import numpy as np
 
 from . import rng
 from .errors import ZeroProbability
-from .interferometer import AnyonicDensityMatrix, _require_density, density_matrix
+from .interferometer import _ZERO_TOLERANCE, AnyonicDensityMatrix, _require_density, density_matrix
 from .model import AnyonModel, ising
 from .surgery import twisted_operator
-
-_ZERO_TOLERANCE = 1e-12
 
 VACUUM_OUTCOME = "I"
 FERMION_OUTCOME = "psi"
 OUTCOMES = (VACUUM_OUTCOME, FERMION_OUTCOME)
-
-# Arm twist counts (left, right) that realize this measurement as an
-# interferometer configuration; the CLI routes configs with these twists here.
-TWISTED_CHANNEL_TWISTS = (0, 2)
 
 _SIGMA = 1
 _OUTCOME_CHARGE = {VACUUM_OUTCOME: 0, FERMION_OUTCOME: 2}
@@ -124,6 +118,13 @@ def _kraus(outcome: str) -> np.ndarray:
     return kraus
 
 
+def _kraus_update(rho: QubitDensity, outcome: str) -> tuple[float, np.ndarray]:
+    """Trace of K rho K^dagger, and the product itself, for the outcome's Kraus operator K."""
+    kraus = _kraus(outcome)
+    updated = kraus @ rho.matrix @ kraus.conj().T
+    return float(np.real(np.trace(updated))), updated
+
+
 def twisted_measure(rho: QubitDensity, outcome: str) -> tuple[float, QubitDensity]:
     """Measure through the doubly twisted interferometer, given the outcome.
 
@@ -131,9 +132,7 @@ def twisted_measure(rho: QubitDensity, outcome: str) -> tuple[float, QubitDensit
     computed as the Kraus update with K = half the twisted loop operator
     restricted to the qubit charges.
     """
-    kraus = _kraus(outcome)
-    updated = kraus @ rho.matrix @ kraus.conj().T
-    probability = float(np.real(np.trace(updated)))
+    probability, updated = _kraus_update(rho, outcome)
     if probability < _ZERO_TOLERANCE:
         raise ZeroProbability(
             f"twisted outcome {outcome} has probability {probability:.3e}"
@@ -143,8 +142,7 @@ def twisted_measure(rho: QubitDensity, outcome: str) -> tuple[float, QubitDensit
 
 def sample_twisted(rho: QubitDensity, seed: int) -> tuple[str, QubitDensity]:
     """Draw one twisted-measurement outcome and return its conditioned state."""
-    kraus = _kraus(VACUUM_OUTCOME)
-    pr_vacuum = float(np.real(np.trace(kraus @ rho.matrix @ kraus.conj().T)))
+    pr_vacuum = _kraus_update(rho, VACUUM_OUTCOME)[0]
     if pr_vacuum < _ZERO_TOLERANCE:
         outcome = FERMION_OUTCOME
     elif 1.0 - pr_vacuum < _ZERO_TOLERANCE:

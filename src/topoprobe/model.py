@@ -344,10 +344,11 @@ def _check_f_unitarity(model: AnyonModel, tolerance: float) -> FamilyResult:
 def _ribbon_s(outcomes, dual, dims, twists, total_dim):
     n = len(dims)
     s = np.zeros((n, n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            acc = sum(dims[c] * twists[c] for c in outcomes[dual[a]][b])
-            s[a, b] = acc / (twists[a] * twists[b] * total_dim)
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN from a huge twist fails certification
+        for a in range(n):
+            for b in range(n):
+                acc = sum(dims[c] * twists[c] for c in outcomes[dual[a]][b])
+                s[a, b] = acc / (twists[a] * twists[b] * total_dim)
     return s
 
 
@@ -548,6 +549,8 @@ def build_model(description: Mapping) -> AnyonModel:
 
     s_matrix = _ribbon_s(outcomes, dual, dims, twists, total_dim)
     if "S" in description:
+        if np.array(description["S"], dtype=object).shape != (n, n, 2):
+            raise ValueError(f"S matrix {description['S']!r} is not {n}x{n} [re, im] pairs")
         supplied = np.array(
             [[_as_complex(*pair, "S matrix") for pair in row] for row in description["S"]],
             dtype=complex,

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import oracles
-from topoprobe import ParseError, TopoprobeError, UnitarityViolation, cli, errors, interferometer
+from topoprobe import ParseError, TopoprobeError, UnitarityViolation, cli, errors, interferometer, ising
 from topoprobe.cli import RunConfig, main, parse_config
 from topoprobe.cli import _CONFIG_TABLE, _ArtifactWriter, _build_parser, _flag_overrides
+from topoprobe.model import _ising_description
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -31,7 +32,7 @@ def test_defaults_are_the_symmetric_interferometer():
     inv = 1.0 / math.sqrt(2.0)
     assert run.t1 == pytest.approx(inv)
     assert run.n_probes == 100 and run.trials == 1 and run.seed == 0
-    assert run.probe_name == "sigma" and run.twists == (0, 0)
+    assert run.probe_name == "sigma"
 
 
 def test_flags_override_the_config_file(tmp_path):
@@ -65,9 +66,10 @@ def test_negative_seed_wraps_to_64_bits(tmp_path):
     ({"t1": "big"}, "t1"),
     ({"theta_I": "quarter"}, "theta_I"),
     ({"probe": 7}, "probe"),
-    ({"twists": [1, 1]}, "not supported"),
-    ({"twists": "0;2"}, "twists"),
-    ({"twists": [0, 2, 0]}, "twists"),
+    # twists is no config key: the twisted measurement has its own subcommand
+    ({"twists": [0, 0]}, "unknown config field 'twists'"),
+    ({"twists": [0, 2]}, "twists"),
+    ({"twists": "0,2"}, "twists"),
     ({"model": 3}, "model"),
     ({"out": 3}, "out"),
     ({"param": "phase"}, "param"),
@@ -154,13 +156,6 @@ def test_unknown_model_is_rejected_at_parse_time(tmp_path):
     path = write_config(tmp_path, {"model": "heisenberg"})
     with pytest.raises(ParseError, match="heisenberg"):
         parse_config(path)
-
-
-def test_twist_strings_parse_like_pairs(tmp_path):
-    path = write_config(tmp_path, {"twists": "0,2"})
-    assert parse_config(path).twists == (0, 2)
-    path = write_config(tmp_path, {"twists": [0, 0]}, name="pair.json")
-    assert parse_config(path).twists == (0, 0)
 
 
 def test_every_run_field_has_exactly_one_config_key():
@@ -316,21 +311,22 @@ def test_unknown_probe_is_a_usage_error(tmp_path, capsys):
     assert "tau" in capsys.readouterr().err
 
 
-def test_unsupported_twists_are_a_usage_error(capsys):
-    assert main(["interfere", "--twists", "1,1"]) == 2
-    assert "not supported" in capsys.readouterr().err
+def test_unsupported_twists_are_a_usage_error(tmp_path, monkeypatch, capsys):
+    # the twisted measurement is reached only through the twisted subcommand
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, {"twists": [0, 2]})
+    assert main(["interfere", "--config", path]) == 2
+    assert "unknown config field 'twists'" in capsys.readouterr().err
+    for subcommand in ("interfere", "twisted", "sweep"):
+        with pytest.raises(SystemExit) as exit_info:
+            main([subcommand, "--twists", "0,2"])
+        assert exit_info.value.code == 2
+        assert "--twists" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 # ---------------------------------------------------------------------------
 # twisted and protocol
-
-
-def test_twisted_route_from_interfere_flag(tmp_path):
-    out = tmp_path / "tw"
-    code = main(["interfere", "--twists", "0,2", "--trials", "8", "--seed", "3",
-                 "--out", str(out)])
-    assert code == 0
-    assert {p.name for p in out.iterdir()} == {"twisted.json"}
 
 
 def test_twisted_histogram_and_fidelities(tmp_path):
@@ -354,6 +350,48 @@ def test_twisted_histogram_and_fidelities(tmp_path):
 def test_twisted_requires_the_ising_model(capsys):
     assert main(["twisted", "--model", "fibonacci"]) == 2
     assert "ising" in capsys.readouterr().err
+
+
+def test_protocol_refuses_a_non_ising_model_like_twisted(tmp_path, capsys):
+    messages = []
+    for subcommand in ("twisted", "protocol"):
+        out = tmp_path / subcommand
+        assert main([subcommand, "--model", "fibonacci", "--out", str(out)]) == 2
+        messages.append(capsys.readouterr().err)
+        assert not out.exists()
+    assert messages == ["error: the twisted measurement path is defined for the ising model\n"] * 2
+
+
+@pytest.mark.parametrize("state, reference", [
+    ({"amplitudes": [1e200, 1]}, {"amplitudes": [1, 0]}),
+    ({"amplitudes": [[1e308, 1e308], 0]}, {"amplitudes": [[1, 1], 0]}),
+    ({"diagonal": [1e308, 1e308]}, {"diagonal": [1, 1]}),
+])
+@pytest.mark.parametrize("subcommand", ["interfere", "twisted"])
+def test_huge_initial_weights_are_rescaled_not_refused(tmp_path, capsys, subcommand, state, reference):
+    # the plain norm or sum of these overflows; the run must neither warn nor see a zero state
+    path = write_config(tmp_path, {"initial_state": state})
+    assert main([subcommand, "--config", path, "--probes", "5", "--out", str(tmp_path / "run")]) == 0
+    assert capsys.readouterr().err == ""
+    model = None if subcommand == "twisted" else ising()
+    expected = write_config(tmp_path, {"initial_state": reference}, name="reference.json")
+    built, wanted = (cli._initial_state(parse_config(p), model).matrix for p in (path, expected))
+    assert np.max(np.abs(built - wanted)) <= 1e-15
+
+
+@pytest.mark.parametrize("subcommand, builder", [
+    ("interfere", "density_matrix"), ("sweep", "density_matrix"), ("twisted", "QubitDensity"),
+])
+def test_an_invalid_initial_state_reads_alike_on_every_subcommand(tmp_path, monkeypatch, capsys,
+                                                                    subcommand, builder):
+    def refuse(*args):
+        raise ValueError("refused")
+
+    monkeypatch.setattr(cli, builder, refuse)
+    argv = [subcommand, "--param", "delta", "--steps", "2"] if subcommand == "sweep" else [subcommand]
+    assert main([*argv, "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == "error: initial state is invalid: refused\n"
+    assert not (tmp_path / "run").exists()
 
 
 def test_protocol_table(tmp_path, capsys):
@@ -484,6 +522,26 @@ def test_an_unlisted_error_kind_is_a_usage_error(monkeypatch, capsys):
     monkeypatch.setattr(cli, "execute", failing)
     assert main(["protocol"]) == 2
     assert capsys.readouterr().err == "error: new kind\n"
+
+
+@pytest.mark.parametrize("s_rows", [[[[1.0]]], [[0.7, 0.0], [0.7, 0.0]], [[[1.0, 0.0]]]])
+def test_a_malformed_s_matrix_is_a_usage_error(tmp_path, capsys, s_rows):
+    description = oracles.model_description(oracles.semion_data())
+    path = tmp_path / "semion_s.json"
+    path.write_text(json.dumps(dict(description, S=s_rows)))
+    assert main(["validate", "--model", str(path)]) == 2
+    assert f"S matrix {s_rows!r} is not 2x2 [re, im] pairs" in capsys.readouterr().err
+
+
+def test_a_huge_twist_fails_validation_without_numpy_warnings(tmp_path, capsys):
+    description = _ising_description()
+    description["twists"][1] = ["sigma", 1e200, 0.0]
+    path = tmp_path / "huge_twist.json"
+    path.write_text(json.dumps(description))
+    assert main(["validate", "--model", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "error: model fails the s_unitarity family (max residual nan)" in captured.out
+    assert captured.err == ""
 
 
 def test_a_short_dims_row_is_a_usage_error(tmp_path, capsys):

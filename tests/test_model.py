@@ -9,6 +9,8 @@ from types import MappingProxyType
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from topoprobe import (
@@ -302,11 +304,48 @@ def test_charge_without_unique_conjugate_is_rejected():
     (lambda d: d["R"][0].__setitem__(3, 10**400), "finite"),
     (lambda d: d["twists"][1].__setitem__(1, math.nan), "finite"),
     (lambda d: d.update(S=[[[math.nan, 0.0]] * 3] * 3), "finite"),
+    # a short pair, bare numbers, and a 1x1 matrix that numpy would broadcast
+    (lambda d: d.update(S=[[[1.0]]]), "3x3"),
+    (lambda d: d.update(S=[[0.7, 0.0], [0.7, 0.0]]), "3x3"),
+    (lambda d: d.update(S=[[[1.0, 0.0]]]), "3x3"),
 ])
 def test_malformed_descriptions_raise_value_errors(mutate, message):
     description = _ising_description()
     mutate(description)
     with pytest.raises(ValueError, match=message):
+        build_model(description)
+
+
+def _ising_with_declared_tables():
+    description = _ising_description()
+    model = ising()
+    description["dims"] = [[name, float(model.dims[i])] for i, name in enumerate(model.charges)]
+    description["S"] = [[[z.real, z.imag] for z in row] for row in model.s_matrix.tolist()]
+    return description
+
+
+# (table, index path) of every number in the Ising description, declared dims and S included
+_TABLE_SITES = [
+    (table, (r, c))
+    for table, rows in _ising_with_declared_tables().items() if table in ("F", "R", "twists", "dims")
+    for r, row in enumerate(rows) for c, value in enumerate(row) if not isinstance(value, str)
+] + [("S", (a, b, c)) for a in range(3) for b in range(3) for c in range(2)]
+
+
+@settings(max_examples=150)
+@given(
+    site=st.sampled_from(_TABLE_SITES),
+    value=st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 1e200, -1e200]),
+)
+def test_a_poisoned_table_entry_is_refused_without_warnings(site, value):
+    # pytest turns RuntimeWarning into an error, so a numpy overflow fails here too
+    table, (*outer, last) = site
+    description = _ising_with_declared_tables()
+    entries = description[table]
+    for i in outer:
+        entries = entries[i]
+    entries[last] = value
+    with pytest.raises((ValueError, ConsistencyViolation)):
         build_model(description)
 
 
