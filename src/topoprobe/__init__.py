@@ -65,12 +65,10 @@ from .surgery import (
     twisted_operator,
 )
 from .gates import (
-    ProtocolOutcome,
     QubitDensity,
     QubitState,
     align_global_phase,
     clifford_library,
-    embed_qubit,
     magic_state,
     protocol_check,
     protocol_residual,
@@ -102,7 +100,6 @@ __all__ = [
     "ParseError",
     "ProbeOutcome",
     "ProbeTrajectory",
-    "ProtocolOutcome",
     "QubitDensity",
     "QubitState",
     "TopoprobeError",
@@ -116,7 +113,6 @@ __all__ = [
     "build_model",
     "clifford_library",
     "density_matrix",
-    "embed_qubit",
     "equivalence_classes",
     "fixed_state",
     "ising",

@@ -40,7 +40,6 @@ from . import rng
 from .errors import ConsistencyViolation, ParseError, TopoprobeError, ZeroProbability
 from .gates import (
     OUTCOMES,
-    QubitDensity,
     magic_state,
     protocol_check,
     protocol_residual,
@@ -272,12 +271,11 @@ def _rescaled(values: np.ndarray, size) -> tuple[np.ndarray, float]:
     return values, total
 
 
-def _initial_state(run: RunConfig, model: AnyonModel | None = None):
-    """Configured initial state on two of the model's charge lines, or a bare qubit without a model."""
+def _initial_state(run: RunConfig, model: AnyonModel) -> AnyonicDensityMatrix:
+    """Configured initial state on two of the model's charge lines, the first and last by default."""
     state = run.initial_state or {"amplitudes": (_INV_SQRT2, _INV_SQRT2)}
-    if model is not None:
-        names = state.get("charges", (model.charge_name(0), model.charge_name(model.n_charges - 1)))
-        labels = tuple((c, c, 0) for c in map(model.charge_index, names))
+    names = state.get("charges", (model.charge_name(0), model.charge_name(model.n_charges - 1)))
+    labels = tuple((c, c, 0) for c in map(model.charge_index, names))
     if "amplitudes" in state:
         vector, norm = _rescaled(np.array(state["amplitudes"], dtype=complex), np.linalg.norm)
         if norm < _ZERO_TOLERANCE:
@@ -290,7 +288,7 @@ def _initial_state(run: RunConfig, model: AnyonModel | None = None):
             raise ParseError("config field 'initial_state': diagonal weights must be nonnegative and sum above 0")
         matrix = np.diag(weights / total).astype(complex)
     try:
-        return QubitDensity(matrix) if model is None else density_matrix(model, labels, matrix)
+        return density_matrix(model, labels, matrix)
     except ValueError as err:
         raise ParseError(f"initial state is invalid: {err}") from None
 
@@ -453,7 +451,7 @@ def _require_ising(run: RunConfig) -> None:
 
 def _run_twisted(run: RunConfig, writer: _ArtifactWriter) -> int:
     _require_ising(run)
-    rho = _initial_state(run)
+    rho = _initial_state(run, ising())
 
     counts = {name: 0 for name in OUTCOMES}
     for trial in range(run.trials):
@@ -529,6 +527,8 @@ def _run_sweep(run: RunConfig, writer: _ArtifactWriter) -> int:
         raise ParseError("sweep needs --param (one of " + ", ".join(_SWEEP_PARAMS) + ")")
     if run.sweep_steps < 1:
         raise ParseError("sweep needs --steps of at least 1")
+    if not math.isfinite(run.sweep_stop - run.sweep_start):
+        raise ParseError("sweep range is too wide: --to minus --from overflows")
     model = _resolve_model(run.model_source)
     rho = _initial_state(run, model)
     grid = np.linspace(run.sweep_start, run.sweep_stop, run.sweep_steps)
@@ -579,13 +579,25 @@ def _run_dump(run: RunConfig, writer: _ArtifactWriter) -> int:
     return 0
 
 
+# Flags besides --model, --config and --out, by config key: value type and help.
+_FLAGS = {
+    "probes": (int, "probes per trajectory"),
+    "trials": (int, "number of trajectories"),
+    "seed": (int, "base seed (64-bit)"),
+    "param": (str, "one of " + ", ".join(_SWEEP_PARAMS)),
+    "from": (float, "grid start"),
+    "to": (float, "grid end"),
+    "steps": (int, "grid point count"),
+}
+
+# Subcommand: handler, help, and the _FLAGS it reads.
 _SUBCOMMANDS = {
-    "validate": (_run_validate, "check a model's defining axioms"),
-    "interfere": (_run_interfere, "run seeded probe-stream trajectories"),
-    "twisted": (_run_twisted, "doubly twisted measurement statistics"),
-    "protocol": (_run_protocol, "phase-gate table and residuals"),
-    "sweep": (_run_sweep, "per-class transmission over a parameter grid"),
-    "dump": (_run_dump, "modular and twisted-loop matrices as JSON"),
+    "validate": (_run_validate, "check a model's defining axioms", ()),
+    "interfere": (_run_interfere, "run seeded probe-stream trajectories", ("probes", "trials", "seed")),
+    "twisted": (_run_twisted, "doubly twisted measurement statistics", ("trials", "seed")),
+    "protocol": (_run_protocol, "phase-gate table and residuals", ()),
+    "sweep": (_run_sweep, "per-class transmission over a parameter grid", ("param", "from", "to", "steps")),
+    "dump": (_run_dump, "modular and twisted-loop matrices as JSON", ()),
 }
 
 
@@ -596,7 +608,7 @@ def execute(run: RunConfig, subcommand: str) -> int:
     propagates, so output directories never hold partial results.
     """
     try:
-        handler, _ = _SUBCOMMANDS[subcommand]
+        handler = _SUBCOMMANDS[subcommand][0]
     except KeyError:
         raise ParseError(f"unknown subcommand {subcommand!r}") from None
     writer = _ArtifactWriter(run.out_dir)
@@ -617,19 +629,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="anyonic interferometry: model checks, probe streams, twisted gates",
     )
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (_, help_text) in _SUBCOMMANDS.items():
+    for name, (_, help_text, flags) in _SUBCOMMANDS.items():
         sub = subparsers.add_parser(name, help=help_text)
         sub.add_argument("--model", help="builtin name, packaged model, or JSON file")
         sub.add_argument("--config", help="JSON config file")
-        sub.add_argument("--probes", type=int, help="probes per trajectory")
-        sub.add_argument("--trials", type=int, help="number of trajectories")
-        sub.add_argument("--seed", type=int, help="base seed (64-bit)")
+        for key in flags:
+            kind, flag_help = _FLAGS[key]
+            sub.add_argument(f"--{key}", type=kind, help=flag_help)
         sub.add_argument("--out", help="output directory")
-        if name == "sweep":
-            sub.add_argument("--param", help="one of " + ", ".join(_SWEEP_PARAMS))
-            sub.add_argument("--from", type=float, help="grid start")
-            sub.add_argument("--to", type=float, help="grid end")
-            sub.add_argument("--steps", type=int, help="grid point count")
     return parser
 
 

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import rng
 from .errors import ZeroProbability
-from .interferometer import _ZERO_TOLERANCE, AnyonicDensityMatrix, _require_density, density_matrix
-from .model import AnyonModel, ising
+from .interferometer import _ZERO_TOLERANCE, AnyonicDensityMatrix, _draw, density_matrix
+from .model import ising
 from .surgery import twisted_operator
 
 VACUUM_OUTCOME = "I"
@@ -61,47 +61,14 @@ class QubitState:
     def vector(self) -> np.ndarray:
         return np.array(self.amplitudes, dtype=complex)
 
-    def density(self) -> "QubitDensity":
+    def density(self) -> AnyonicDensityMatrix:
         v = self.vector()
         return QubitDensity(np.outer(v, v.conj()))
 
 
-@dataclass(frozen=True, eq=False)
-class QubitDensity:
-    """Mixed qubit state: 2x2 Hermitian, unit trace, positive semidefinite."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        matrix = np.array(self.matrix, dtype=complex)
-        if matrix.shape != (2, 2):
-            raise ValueError("qubit density matrix must be 2x2")
-        _require_density(matrix, "qubit density matrix")
-        matrix.flags.writeable = False
-        object.__setattr__(self, "matrix", matrix)
-
-
-@dataclass(frozen=True)
-class ProtocolOutcome:
-    """Joint record of one protocol run: twisted outcome and fusion outcome."""
-
-    a: str
-    alpha: str
-
-    def __post_init__(self):
-        _outcome_bit(self.a)
-        _outcome_bit(self.alpha)
-
-
-def embed_qubit(rho, model: AnyonModel | None = None) -> AnyonicDensityMatrix:
-    """Lift a qubit density matrix into the interferometer state basis.
-
-    Basis label 0 becomes (I, I; I) and label 1 becomes (psi, psi; I): the
-    probed group and its complement carry matching charges fusing to the
-    vacuum. Accepts a QubitDensity or a raw 2x2 matrix.
-    """
-    matrix = rho.matrix if isinstance(rho, QubitDensity) else np.asarray(rho, dtype=complex)
-    return density_matrix(model or ising(), _QUBIT_LABELS, matrix)
+def QubitDensity(matrix) -> AnyonicDensityMatrix:
+    """Validated qubit state, an interferometer state on the labels (I, I; I) and (psi, psi; I)."""
+    return density_matrix(ising(), _QUBIT_LABELS, matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -110,45 +77,35 @@ def embed_qubit(rho, model: AnyonModel | None = None) -> AnyonicDensityMatrix:
 
 @lru_cache(maxsize=None)
 def _kraus(outcome: str) -> np.ndarray:
-    """Half the twisted loop operator on the qubit charges; shared, so read-only."""
+    """Diagonal of half the twisted loop operator on the qubit charges; shared, so read-only."""
     _outcome_bit(outcome)
-    entries = twisted_operator(ising(), _OUTCOME_CHARGE[outcome]).entries
-    kraus = 0.5 * np.diag(entries[[0, 2]])
+    kraus = 0.5 * twisted_operator(ising(), _OUTCOME_CHARGE[outcome]).entries[[0, 2]]
     kraus.flags.writeable = False
     return kraus
 
 
-def _kraus_update(rho: QubitDensity, outcome: str) -> tuple[float, np.ndarray]:
-    """Trace of K rho K^dagger, and the product itself, for the outcome's Kraus operator K."""
-    kraus = _kraus(outcome)
-    updated = kraus @ rho.matrix @ kraus.conj().T
-    return float(np.real(np.trace(updated))), updated
-
-
-def twisted_measure(rho: QubitDensity, outcome: str) -> tuple[float, QubitDensity]:
+def twisted_measure(rho: AnyonicDensityMatrix, outcome: str) -> tuple[float, AnyonicDensityMatrix]:
     """Measure through the doubly twisted interferometer, given the outcome.
 
-    Returns the outcome probability and the conditioned qubit state,
-    computed as the Kraus update with K = half the twisted loop operator
-    restricted to the qubit charges.
+    Returns the outcome probability and the conditioned qubit state. The
+    Kraus operator K (half the twisted loop operator on the qubit charges)
+    is diagonal, so K rho K^dagger scales entry (i, j) by k_i conj(k_j).
     """
-    probability, updated = _kraus_update(rho, outcome)
+    if rho.labels != _QUBIT_LABELS:
+        raise ValueError("the twisted measurement acts on the I/psi qubit, labels (I, I; I) and (psi, psi; I)")
+    k = _kraus(outcome)
+    updated = (k[:, None] * rho.matrix) * k.conj()
+    probability = float(np.real(np.trace(updated)))
     if probability < _ZERO_TOLERANCE:
-        raise ZeroProbability(
-            f"twisted outcome {outcome} has probability {probability:.3e}"
-        )
-    return probability, QubitDensity(updated / probability)
+        raise ZeroProbability(f"twisted outcome {outcome} has probability {probability:.3e}")
+    return probability, AnyonicDensityMatrix(model=rho.model, labels=rho.labels, matrix=updated / probability)
 
 
-def sample_twisted(rho: QubitDensity, seed: int) -> tuple[str, QubitDensity]:
-    """Draw one twisted-measurement outcome and return its conditioned state."""
-    pr_vacuum = _kraus_update(rho, VACUUM_OUTCOME)[0]
-    if pr_vacuum < _ZERO_TOLERANCE:
-        outcome = FERMION_OUTCOME
-    elif 1.0 - pr_vacuum < _ZERO_TOLERANCE:
-        outcome = VACUUM_OUTCOME
-    else:
-        outcome = VACUUM_OUTCOME if float(rng.generator(seed).random()) < pr_vacuum else FERMION_OUTCOME
+def sample_twisted(rho: AnyonicDensityMatrix, seed: int) -> tuple[str, AnyonicDensityMatrix]:
+    """One twisted outcome, drawn as a one-probe stream with vacuum as transmitted, and its conditioned state."""
+    weights = [(np.abs(_kraus(outcome)) ** 2).tolist() for outcome in OUTCOMES]  # diagonal of K^dagger K
+    (vacuum,), _ = _draw(np.real(np.diagonal(rho.matrix)).tolist(), *weights, [rng.generator(seed).random()])
+    outcome = VACUUM_OUTCOME if vacuum else FERMION_OUTCOME
     return outcome, twisted_measure(rho, outcome)[1]
 
 
@@ -172,7 +129,7 @@ def synthesize_magic_state(outcome: str) -> np.ndarray:
     :func:`align_global_phase` or a fidelity.
     """
     hadamard = clifford_library()["H"]
-    vector = _kraus(outcome) @ hadamard @ np.array([1.0, 0.0], dtype=complex)
+    vector = (_kraus(outcome)[:, None] * hadamard) @ np.array([1.0, 0.0], dtype=complex)
     norm = float(np.linalg.norm(vector))
     if norm < _ZERO_TOLERANCE:
         raise ZeroProbability(f"twisted outcome {outcome} annihilates H|0>")

@@ -85,8 +85,8 @@ class InterferometerConfig:
 
     def __post_init__(self):
         _require_unitary_splitters(self.t1, self.r1, self.t2, self.r2)
-        if not (math.isfinite(self.theta_I) and math.isfinite(self.theta_II)):
-            raise ValueError("path phases theta_I and theta_II must be finite")
+        if not math.isfinite(self.delta):  # also catches a NaN or infinite phase
+            raise ValueError("path phases theta_I and theta_II, and their difference, must be finite")
 
     @property
     def delta(self) -> float:
@@ -143,18 +143,6 @@ def _coherence(matrices: np.ndarray) -> np.ndarray:
     return np.divide(peak, top, out=np.zeros_like(peak), where=top > 0.0)
 
 
-def _require_density(matrix: np.ndarray, kind: str) -> None:
-    """Raise ValueError unless matrix is Hermitian, unit-trace and PSD; a NaN or inf entry never passes."""
-    with np.errstate(invalid="ignore"):
-        asymmetry = float(np.abs(matrix - matrix.conj().T).max())
-    if not asymmetry <= _CLASS_TOLERANCE:
-        raise ValueError(f"{kind} must be Hermitian")
-    if not abs(complex(matrix.trace()) - 1.0) <= _CLASS_TOLERANCE:
-        raise ValueError(f"{kind} must have unit trace")
-    if not float(np.linalg.eigvalsh(matrix)[0]) >= -_CLASS_TOLERANCE:  # eigenvalues ascend
-        raise ValueError(f"{kind} must be positive semidefinite")
-
-
 def density_matrix(
     model: AnyonModel,
     labels: Sequence[tuple[Charge, Charge, Charge]],
@@ -179,7 +167,15 @@ def density_matrix(
                 f"label ({model.charge_name(a)}, {model.charge_name(c)}, "
                 f"{model.charge_name(f)}) is not fusion-allowed"
             )
-    _require_density(matrix, "density matrix")
+    # a NaN or inf entry fails every comparison below
+    with np.errstate(invalid="ignore"):
+        asymmetry = float(np.abs(matrix - matrix.conj().T).max())
+    if not asymmetry <= _CLASS_TOLERANCE:
+        raise ValueError("density matrix must be Hermitian")
+    if not abs(complex(matrix.trace()) - 1.0) <= _CLASS_TOLERANCE:
+        raise ValueError("density matrix must have unit trace")
+    if not float(np.linalg.eigvalsh(matrix)[0]) >= -_CLASS_TOLERANCE:  # eigenvalues ascend
+        raise ValueError("density matrix must be positive semidefinite")
     for i, (_, _, fi) in enumerate(labels):
         for j, (_, _, fj) in enumerate(labels):
             if fi != fj and abs(matrix[i, j]) > _ZERO_TOLERANCE:
@@ -345,6 +341,26 @@ class ProbeTrajectory:
         object.__setattr__(self, "fraction", n / total if total else 0.0)
 
 
+def _draw(populations: list, diag_t: list, diag_r: list, uniforms: list) -> tuple[list, list]:
+    """Outcome flags (True: transmitted) and observed-outcome probabilities, one probe per uniform.
+
+    Each draw is a Bernoulli trial on the populations, which the drawn
+    outcome's diagonal factors then rescale and their sum renormalizes.
+    """
+    transmitted, probabilities = [], []
+    for u in uniforms:
+        pr_t = sum(map(operator.mul, populations, diag_t))
+        pr_t = 0.0 if pr_t < 0.0 else 1.0 if pr_t > 1.0 else pr_t
+        # near-certain outcomes are taken deterministically, the rest drawn
+        hit = pr_t >= _ZERO_TOLERANCE and (1.0 - pr_t < _ZERO_TOLERANCE or u < pr_t)
+        transmitted.append(hit)
+        probabilities.append(pr_t if hit else 1.0 - pr_t)
+        populations = list(map(operator.mul, populations, diag_t if hit else diag_r))
+        trace = sum(populations)
+        populations = [p / trace for p in populations]
+    return transmitted, probabilities
+
+
 def _conditioned_states(rho0, p_t, p_r, n_t, n_r) -> np.ndarray:
     """States rho0 * p_t**n * p_r**r / trace, entrywise, one per row of counts (n, r).
 
@@ -387,18 +403,8 @@ def simulate_stream(
     _require_supported(model, rho)
     p_t, p_r = _factors(model, rho.labels, config)
     diag_t, diag_r = (np.real(np.diagonal(p)).tolist() for p in (p_t, p_r))
-    populations = np.real(np.diagonal(rho.matrix)).tolist()
-    transmitted, probabilities = [], []
-    for u in rng.generator(seed).random(n_probes).tolist():
-        pr_t = sum(map(operator.mul, populations, diag_t))
-        pr_t = 0.0 if pr_t < 0.0 else 1.0 if pr_t > 1.0 else pr_t
-        # near-certain outcomes are taken deterministically, the rest drawn
-        hit = pr_t >= _ZERO_TOLERANCE and (1.0 - pr_t < _ZERO_TOLERANCE or u < pr_t)
-        transmitted.append(hit)
-        probabilities.append(pr_t if hit else 1.0 - pr_t)
-        populations = list(map(operator.mul, populations, diag_t if hit else diag_r))
-        trace = sum(populations)
-        populations = [p / trace for p in populations]
+    uniforms = rng.generator(seed).random(n_probes).tolist()
+    transmitted, probabilities = _draw(np.real(np.diagonal(rho.matrix)).tolist(), diag_t, diag_r, uniforms)
     n_t = np.cumsum(np.array(transmitted, dtype=np.int64))
     n_r = np.arange(1, n_probes + 1) - n_t
     coherences, states, matrix = [], [], rho.matrix

@@ -435,6 +435,8 @@ def _as_complex(re, im, where):
         re, im = float(re), float(im)
     except OverflowError:
         re = im = math.inf
+    except (TypeError, ValueError):
+        raise ValueError(f"{where} entry ({re!r}, {im!r}) is not numeric") from None
     if not (math.isfinite(re) and math.isfinite(im)):
         raise ValueError(f"{where} entry ({re!r}, {im!r}) is not finite")
     return complex(re, im)

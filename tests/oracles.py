@@ -413,6 +413,12 @@ def twisted_kraus(core_is_vacuum):
     return np.diag([0.5 * (1 - w), 0.5 * (1 + w)])
 
 
+def kraus_product(kraus, rho):
+    """Trace and matrix of K rho K^dagger for a 2x2 Kraus operator, as plain matrix products."""
+    updated = kraus @ rho @ kraus.conj().T
+    return float(np.real(np.trace(updated))), updated
+
+
 def twisted_closed_form(rho, vacuum_outcome):
     """Probability and post-state of the double-twist channel, closed form."""
     c = math.cos(math.pi / 8)

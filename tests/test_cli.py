@@ -1,5 +1,6 @@
 """Configuration merging, subcommand artifacts, and exit codes."""
 
+import argparse
 import dataclasses
 import json
 import math
@@ -165,6 +166,41 @@ def test_every_run_field_has_exactly_one_config_key():
     assert len(keys) == len(_CONFIG_TABLE)
     for argv in (["interfere"], ["sweep"]):
         assert set(_flag_overrides(_build_parser().parse_args(argv))) <= keys
+
+
+def _flag_slots():
+    """Option strings per subcommand, without -h/--help."""
+    (subcommands,) = (a.choices for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {option for action in sub._actions for option in action.option_strings} - {"-h", "--help"}
+        for name, sub in subcommands.items()
+    }
+
+
+def test_flags_are_registered_only_where_they_are_read():
+    slots = _flag_slots()
+    common = {"--model", "--config", "--out"}
+    assert slots == {
+        "validate": common,
+        "interfere": common | {"--probes", "--trials", "--seed"},
+        "twisted": common | {"--trials", "--seed"},
+        "protocol": common,
+        "sweep": common | {"--param", "--from", "--to", "--steps"},
+        "dump": common,
+    }
+    assert sum(map(len, slots.values())) == 27
+    assert len(_CONFIG_TABLE) == 17  # every config key is still accepted by every subcommand
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--trials", "5"], ["dump", "--seed", "4"], ["twisted", "--probes", "5"],
+    ["protocol", "--seed", "1"], ["sweep", "--param", "delta", "--steps", "2", "--trials", "2"],
+])
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as stopped:
+        main(argv)
+    assert stopped.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +398,28 @@ def test_protocol_refuses_a_non_ising_model_like_twisted(tmp_path, capsys):
     assert messages == ["error: the twisted measurement path is defined for the ising model\n"] * 2
 
 
+@pytest.mark.parametrize("charges, message", [
+    (["sigma", "sigma"], "error: initial state is invalid: duplicate basis labels\n"),
+    (["I", "sigma"], "I/psi qubit"),
+    (["psi", "I"], "I/psi qubit"),
+], ids=["duplicate", "sigma", "swapped"])
+def test_twisted_reads_the_initial_state_charges(tmp_path, capsys, charges, message):
+    path = write_config(tmp_path, {"initial_state": {"amplitudes": [1, 1], "charges": charges}})
+    out = tmp_path / "run"
+    assert main(["twisted", "--config", path, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_twisted_with_the_default_charges_named_runs_the_default(tmp_path):
+    named = write_config(tmp_path, {"initial_state": {"amplitudes": [1, 1], "charges": ["I", "psi"]}})
+    plain = write_config(tmp_path, {"initial_state": {"amplitudes": [1, 1]}}, name="plain.json")
+    for name, path in (("named", named), ("plain", plain)):
+        assert main(["twisted", "--config", path, "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "named" / "twisted.json").read_bytes() == (
+        tmp_path / "plain" / "twisted.json").read_bytes()
+
+
 @pytest.mark.parametrize("state, reference", [
     ({"amplitudes": [1e200, 1]}, {"amplitudes": [1, 0]}),
     ({"amplitudes": [[1e308, 1e308], 0]}, {"amplitudes": [[1, 1], 0]}),
@@ -371,16 +429,16 @@ def test_protocol_refuses_a_non_ising_model_like_twisted(tmp_path, capsys):
 def test_huge_initial_weights_are_rescaled_not_refused(tmp_path, capsys, subcommand, state, reference):
     # the plain norm or sum of these overflows; the run must neither warn nor see a zero state
     path = write_config(tmp_path, {"initial_state": state})
-    assert main([subcommand, "--config", path, "--probes", "5", "--out", str(tmp_path / "run")]) == 0
+    probes = ["--probes", "5"] if subcommand == "interfere" else []
+    assert main([subcommand, "--config", path, *probes, "--out", str(tmp_path / "run")]) == 0
     assert capsys.readouterr().err == ""
-    model = None if subcommand == "twisted" else ising()
     expected = write_config(tmp_path, {"initial_state": reference}, name="reference.json")
-    built, wanted = (cli._initial_state(parse_config(p), model).matrix for p in (path, expected))
+    built, wanted = (cli._initial_state(parse_config(p), ising()).matrix for p in (path, expected))
     assert np.max(np.abs(built - wanted)) <= 1e-15
 
 
 @pytest.mark.parametrize("subcommand, builder", [
-    ("interfere", "density_matrix"), ("sweep", "density_matrix"), ("twisted", "QubitDensity"),
+    ("interfere", "density_matrix"), ("sweep", "density_matrix"), ("twisted", "density_matrix"),
 ])
 def test_an_invalid_initial_state_reads_alike_on_every_subcommand(tmp_path, monkeypatch, capsys,
                                                                     subcommand, builder):
@@ -438,6 +496,26 @@ def test_sweep_requires_param_and_steps(capsys):
     assert "param" in capsys.readouterr().err
     assert main(["sweep", "--param", "delta"]) == 2
     assert "steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand, payload", [
+    ("interfere", {"theta_I": 1e308, "theta_II": -1e308}),
+    ("sweep", {"param": "theta_I", "from": 1e308, "to": 1e308, "steps": 2, "theta_II": -1e308}),
+], ids=["interfere", "sweep"])
+def test_an_infinite_phase_difference_exits_2_without_files(tmp_path, capsys, subcommand, payload):
+    # unchecked, interfere would fail only at the JSON writer and sweep would write nan into sweep.csv
+    out = tmp_path / "run"
+    assert main([subcommand, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+    assert "their difference, must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_sweep_range_whose_width_overflows_exits_2(tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = ["sweep", "--param", "delta", "--from=-1e308", "--to", "1e308", "--steps", "3"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "sweep range" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_dump_matrices(tmp_path):
@@ -531,6 +609,20 @@ def test_a_malformed_s_matrix_is_a_usage_error(tmp_path, capsys, s_rows):
     path.write_text(json.dumps(dict(description, S=s_rows)))
     assert main(["validate", "--model", str(path)]) == 2
     assert f"S matrix {s_rows!r} is not 2x2 [re, im] pairs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: d["R"][0].__setitem__(3, "x"), "R table entry ('x', "),
+    (lambda d: d.update(S=[[[[1.0, 2.0], 0.0]] + [[1.0, 0.0]] * 2] * 3),
+     "S matrix entry ([1.0, 2.0], 0.0) is not numeric"),
+], ids=["R", "S"])
+def test_a_non_numeric_table_value_is_a_usage_error(tmp_path, capsys, mutate, message):
+    description = _ising_description()
+    mutate(description)
+    path = tmp_path / "non_numeric.json"
+    path.write_text(json.dumps(description))
+    assert main(["validate", "--model", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_a_huge_twist_fails_validation_without_numpy_warnings(tmp_path, capsys):

@@ -5,18 +5,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import test_golden
 from topoprobe import (
-    ProtocolOutcome,
+    AnyonicDensityMatrix,
     QubitDensity,
     QubitState,
     ZeroProbability,
     align_global_phase,
     clifford_library,
-    embed_qubit,
+    density_matrix,
+    ising,
     magic_state,
     protocol_check,
     protocol_residual,
@@ -26,6 +28,8 @@ from topoprobe import (
     synthesize_magic_state,
     twisted_measure,
 )
+from topoprobe import rng
+from topoprobe.cli import _initial_state, parse_config
 from topoprobe.gates import _kraus
 
 COS8 = math.cos(math.pi / 8.0)
@@ -64,7 +68,7 @@ def test_zero_vector_is_not_a_state():
 
 
 @pytest.mark.parametrize("matrix, message", [
-    (np.eye(3) / 3.0, "2x2"),
+    (np.eye(3) / 3.0, "shape"),  # density_matrix: "matrix shape must match the label count"
     (np.array([[0.5, 0.4], [0.1, 0.5]]), "Hermitian"),
     (np.eye(2), "unit trace"),
     (np.array([[0.9, 0.5], [0.5, 0.1]]), "positive semidefinite"),
@@ -79,14 +83,15 @@ def test_invalid_qubit_densities_are_rejected(matrix, message):
 
 
 def test_embedding_lands_on_the_interferometer_basis():
-    lifted = embed_qubit(PLUS)
-    assert lifted.labels == ((0, 0, 0), (2, 2, 0))
-    assert np.max(np.abs(lifted.matrix - PLUS.matrix)) == 0.0
+    # the qubit is an interferometer state on the Ising labels (I, I; I), (psi, psi; I)
+    assert isinstance(PLUS, AnyonicDensityMatrix)
+    assert QubitDensity(PLUS.matrix).model is ising()
+    assert PLUS.labels == ((0, 0, 0), (2, 2, 0))
+    same = density_matrix(ising(), PLUS.labels, [[0.5, 0.5], [0.5, 0.5]])
+    assert np.array_equal(same.matrix, PLUS.matrix)
     # raw arrays are validated on the way in
-    same = embed_qubit([[0.5, 0.5], [0.5, 0.5]])
-    assert np.max(np.abs(same.matrix - PLUS.matrix)) == 0.0
     with pytest.raises(ValueError, match="Hermitian"):
-        embed_qubit([[0.5, 0.4], [0.1, 0.5]])
+        QubitDensity([[0.5, 0.4], [0.1, 0.5]])
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +130,53 @@ def test_measurement_matches_closed_form_reference():
 def test_twisted_kraus_operators_are_shared_read_only():
     kraus = _kraus("I")
     assert _kraus("I") is kraus
+    assert kraus.shape == (2,)
     with pytest.raises(ValueError):
-        kraus[0, 0] = 0.0
+        kraus[0] = 0.0
+
+
+def _assert_matches_kraus_product(rho):
+    for outcome in ("I", "psi"):
+        probability, updated = oracles.kraus_product(np.diag(_kraus(outcome)), rho.matrix)
+        pr, post = twisted_measure(rho, outcome)
+        assert pr == probability
+        # == holds bit for bit except on signed zeros, whose sign in the product follows its summation order
+        assert np.array_equal(post.matrix, updated / probability)
+        assert post.labels == rho.labels
+
+
+@pytest.mark.parametrize("case", ["twisted-default", "twisted-complex"])
+def test_entrywise_update_is_the_kraus_product_on_the_golden_states(case):
+    payload = test_golden.CASES[case][1] or {}
+    run = parse_config(None, {"initial_state": payload.get("initial_state")})
+    _assert_matches_kraus_product(_initial_state(run, ising()))
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(unit_interval, unit_interval, unit_interval), min_size=10, max_size=10))
+def test_entrywise_update_is_the_kraus_product(points):
+    # ten Bloch vectors per example: 2,000 drawn states at a tenth of the per-example overhead
+    for point in points:
+        _assert_matches_kraus_product(bloch(*point))
+
+
+def test_sampled_outcome_is_the_stream_draw():
+    states = [KET0, PLUS, QubitDensity(np.diag([0.0, 1.0])), bloch(0.3, -0.5, 0.2), bloch(0.0, 0.7, -0.7)]
+    for seed in range(2000):
+        rho = states[seed % len(states)]
+        u = rng.generator(seed).random()
+        probability, _ = oracles.kraus_product(np.diag(_kraus("I")), rho.matrix)
+        outcome, post = sample_twisted(rho, seed)
+        assert outcome == ("I" if u < probability else "psi")
+        assert post.matrix.tobytes() == twisted_measure(rho, outcome)[1].matrix.tobytes()
+
+
+@pytest.mark.parametrize("labels", [((0, 0, 0), (1, 1, 0)), ((2, 2, 0), (0, 0, 0))])
+def test_twisted_measurement_refuses_other_labels(labels):
+    rho = density_matrix(ising(), labels, np.diag([0.5, 0.5]))
+    for measure in (lambda: twisted_measure(rho, "I"), lambda: sample_twisted(rho, 0)):
+        with pytest.raises(ValueError, match="I/psi qubit"):
+            measure()
 
 
 def test_sigma_outcome_is_impossible():
@@ -241,9 +291,6 @@ def test_protocol_rejects_unknown_outcomes():
         protocol_unitary("sigma", "I")
     with pytest.raises(ValueError):
         protocol_check("I", "tau")
-    with pytest.raises(ValueError):
-        ProtocolOutcome(a="x", alpha="I")
-    assert ProtocolOutcome(a="I", alpha="psi").alpha == "psi"
 
 
 def test_protocol_check_matches_reference_branch_sum():

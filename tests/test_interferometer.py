@@ -80,6 +80,12 @@ def test_nonfinite_path_phases_are_rejected(field, value):
         InterferometerConfig(probe=SIGMA, **{field: value})
 
 
+def test_an_overflowing_phase_difference_is_rejected():
+    # each phase is finite, but delta = inf would make every probe factor NaN
+    with pytest.raises(ValueError, match="difference"):
+        InterferometerConfig(probe=SIGMA, theta_I=1e308, theta_II=-1e308)
+
+
 def test_outcome_enum_serialization_labels():
     assert ProbeOutcome.TRANSMITTED.value == "transmitted"
     assert ProbeOutcome.REFLECTED.value == "reflected"

@@ -304,6 +304,10 @@ def test_charge_without_unique_conjugate_is_rejected():
     (lambda d: d["R"][0].__setitem__(3, 10**400), "finite"),
     (lambda d: d["twists"][1].__setitem__(1, math.nan), "finite"),
     (lambda d: d.update(S=[[[math.nan, 0.0]] * 3] * 3), "finite"),
+    # a non-numeric value is quoted with its table
+    (lambda d: d["R"][0].__setitem__(3, "x"), r"R table entry \('x', "),
+    (lambda d: d.update(S=[[[[1.0, 2.0], 0.0]] + [[1.0, 0.0]] * 2] * 3),
+     r"S matrix entry \(\[1.0, 2.0\], 0.0\) is not numeric"),
     # a short pair, bare numbers, and a 1x1 matrix that numpy would broadcast
     (lambda d: d.update(S=[[[1.0]]]), "3x3"),
     (lambda d: d.update(S=[[0.7, 0.0], [0.7, 0.0]]), "3x3"),
