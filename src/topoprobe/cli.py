@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import csv
 import dataclasses
 import importlib.resources
@@ -307,13 +308,15 @@ def _json_default(value):
 
 
 class _ArtifactWriter:
-    """Write-or-rollback helper: files created here vanish if the run fails."""
+    """Write-or-rollback helper: files and directories created here vanish if the run fails."""
 
     def __init__(self, out_dir: str | None):
         self.root = Path(out_dir or ".")
         self.created: list[Path] = []
+        self.made_dirs: list[Path] = []  # deepest first
 
     def _prepare(self, name: str) -> Path:
+        self.made_dirs += [d for d in (self.root, *self.root.parents) if not d.exists()]
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.root / name
         self.created.append(path)
@@ -343,6 +346,9 @@ class _ArtifactWriter:
     def rollback(self):
         for path in self.created:
             path.unlink(missing_ok=True)
+        for directory in self.made_dirs:
+            with contextlib.suppress(OSError):  # kept when something else wrote into it
+                directory.rmdir()
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +499,7 @@ def _run_twisted(run: RunConfig, writer: _ArtifactWriter) -> int:
 
 def _run_protocol(run: RunConfig, writer: _ArtifactWriter) -> int:
     _require_ising(run)
-    b = modular_matrices(ising()).b
+    b = ising().b_matrix
     table = []
     for a in OUTCOMES:
         for alpha in OUTCOMES:

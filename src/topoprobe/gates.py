@@ -26,13 +26,10 @@ from .interferometer import _ZERO_TOLERANCE, AnyonicDensityMatrix, _draw, densit
 from .model import ising
 from .surgery import twisted_operator
 
-VACUUM_OUTCOME = "I"
-FERMION_OUTCOME = "psi"
-OUTCOMES = (VACUUM_OUTCOME, FERMION_OUTCOME)
+OUTCOMES = ("I", "psi")  # charge names, vacuum first
 
-_SIGMA = 1
-_OUTCOME_CHARGE = {VACUUM_OUTCOME: 0, FERMION_OUTCOME: 2}
 _QUBIT_LABELS = ((0, 0, 0), (2, 2, 0))
+_QUBIT_NAMES = (("I", "I", "I"), ("psi", "psi", "I"))
 
 
 def _outcome_bit(outcome: str) -> int:
@@ -75,25 +72,19 @@ def QubitDensity(matrix) -> AnyonicDensityMatrix:
 # twisted measurement
 
 
-@lru_cache(maxsize=None)
-def _kraus(outcome: str) -> np.ndarray:
-    """Diagonal of half the twisted loop operator on the qubit charges; shared, so read-only."""
-    _outcome_bit(outcome)
-    kraus = 0.5 * twisted_operator(ising(), _OUTCOME_CHARGE[outcome]).entries[[0, 2]]
+@lru_cache(maxsize=64)
+def _kraus(model, labels) -> np.ndarray:
+    """Per outcome, half its twisted loop operator at the labels (I, I; I), (psi, psi; I); read-only."""
+    if tuple(tuple(map(model.charge_name, label)) for label in labels) != _QUBIT_NAMES:
+        raise ValueError("the twisted measurement acts on the I/psi qubit, labels (I, I; I) and (psi, psi; I)")
+    charges = [a for a, _, _ in labels]  # the I and psi lines, in outcome order
+    kraus = 0.5 * np.array([twisted_operator(model, core).entries[charges] for core in charges])
     kraus.flags.writeable = False
     return kraus
 
 
-def twisted_measure(rho: AnyonicDensityMatrix, outcome: str) -> tuple[float, AnyonicDensityMatrix]:
-    """Measure through the doubly twisted interferometer, given the outcome.
-
-    Returns the outcome probability and the conditioned qubit state. The
-    Kraus operator K (half the twisted loop operator on the qubit charges)
-    is diagonal, so K rho K^dagger scales entry (i, j) by k_i conj(k_j).
-    """
-    if rho.labels != _QUBIT_LABELS:
-        raise ValueError("the twisted measurement acts on the I/psi qubit, labels (I, I; I) and (psi, psi; I)")
-    k = _kraus(outcome)
+def _conditioned(rho, k, outcome) -> tuple[float, AnyonicDensityMatrix]:
+    """Probability and state after the diagonal Kraus operator k: entry (i, j) scales by k_i conj(k_j)."""
     updated = (k[:, None] * rho.matrix) * k.conj()
     probability = float(np.real(np.trace(updated)))
     if probability < _ZERO_TOLERANCE:
@@ -101,12 +92,23 @@ def twisted_measure(rho: AnyonicDensityMatrix, outcome: str) -> tuple[float, Any
     return probability, AnyonicDensityMatrix(model=rho.model, labels=rho.labels, matrix=updated / probability)
 
 
+def twisted_measure(rho: AnyonicDensityMatrix, outcome: str) -> tuple[float, AnyonicDensityMatrix]:
+    """Measure through the doubly twisted interferometer, given the outcome.
+
+    Returns the outcome probability and the conditioned qubit state. The
+    Kraus operator K is half the twisted loop operator of the state's own
+    model on the qubit charges, and diagonal.
+    """
+    return _conditioned(rho, _kraus(rho.model, rho.labels)[_outcome_bit(outcome)], outcome)
+
+
 def sample_twisted(rho: AnyonicDensityMatrix, seed: int) -> tuple[str, AnyonicDensityMatrix]:
     """One twisted outcome, drawn as a one-probe stream with vacuum as transmitted, and its conditioned state."""
-    weights = [(np.abs(_kraus(outcome)) ** 2).tolist() for outcome in OUTCOMES]  # diagonal of K^dagger K
+    kraus = _kraus(rho.model, rho.labels)
+    weights = (np.abs(kraus) ** 2).tolist()  # diagonals of K^dagger K
     (vacuum,), _ = _draw(np.real(np.diagonal(rho.matrix)).tolist(), *weights, [rng.generator(seed).random()])
-    outcome = VACUUM_OUTCOME if vacuum else FERMION_OUTCOME
-    return outcome, twisted_measure(rho, outcome)[1]
+    bit = 0 if vacuum else 1
+    return OUTCOMES[bit], _conditioned(rho, kraus[bit], OUTCOMES[bit])[1]
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +131,8 @@ def synthesize_magic_state(outcome: str) -> np.ndarray:
     :func:`align_global_phase` or a fidelity.
     """
     hadamard = clifford_library()["H"]
-    vector = (_kraus(outcome)[:, None] * hadamard) @ np.array([1.0, 0.0], dtype=complex)
+    k = _kraus(ising(), _QUBIT_LABELS)[_outcome_bit(outcome)]
+    vector = (k[:, None] * hadamard) @ np.array([1.0, 0.0], dtype=complex)
     norm = float(np.linalg.norm(vector))
     if norm < _ZERO_TOLERANCE:
         raise ZeroProbability(f"twisted outcome {outcome} annihilates H|0>")
@@ -197,12 +200,13 @@ def protocol_check(a: str, alpha: str) -> tuple[complex, complex]:
     model = ising()
     a_bit = _outcome_bit(a)
     alpha_bit = _outcome_bit(alpha)
-    braid_alpha = model.r(_OUTCOME_CHARGE[alpha], _SIGMA, _SIGMA)
-    twist_sigma = complex(model.twists[_SIGMA])
+    sigma = model.charge_index("sigma")
+    braid_alpha = model.r(model.charge_index(alpha), sigma, sigma)
+    twist_sigma = complex(model.twists[sigma])
     cos8, sin8 = math.cos(math.pi / 8), math.sin(math.pi / 8)
     diagonal = []
     for q in (0, 1):
-        braid_q = model.r(_SIGMA, _SIGMA, _OUTCOME_CHARGE[OUTCOMES[q]])
+        braid_q = model.r(sigma, sigma, model.charge_index(OUTCOMES[q]))
         total = 0j
         for z in (0, 1):
             coefficient = cos8 if z == a_bit else 1j * sin8

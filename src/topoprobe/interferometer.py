@@ -364,20 +364,21 @@ def _draw(populations: list, diag_t: list, diag_r: list, uniforms: list) -> tupl
 def _conditioned_states(rho0, p_t, p_r, n_t, n_r) -> np.ndarray:
     """States rho0 * p_t**n * p_r**r / trace, entrywise, one per row of counts (n, r).
 
-    Log space keeps long streams from underflowing. An entry whose initial
-    value, or any factor applied to it, is exactly zero stays zero.
+    Log space keeps long streams from underflowing; dividing each matrix by
+    its largest diagonal magnitude, which the trace cancels, keeps the sums
+    from growing with the counts and shedding low bits. An entry whose
+    initial value, or any factor applied to it, is exactly zero stays zero.
     """
     n_t, n_r = n_t[:, None, None], n_r[:, None, None]
     logs, phases = 0.0, 0.0
     for values, count in ((rho0, 1), (p_t, n_t), (p_r, n_r)):
         magnitude = np.abs(values)
+        magnitude = magnitude / (magnitude.diagonal().max() or 1.0)
         logs = logs + count * np.log(np.where(magnitude > 0.0, magnitude, 1.0))
         logs = np.where((magnitude == 0.0) & (count > 0), -np.inf, logs)
         phases = phases + count * np.angle(values)
-    populations = np.diagonal(logs, axis1=1, axis2=2)
-    top = np.max(populations, axis=1)
-    log_trace = top + np.log(np.sum(np.exp(populations - top[:, None]), axis=1))
-    return np.exp(logs - log_trace[:, None, None]) * np.exp(1j * phases)
+    weights = np.exp(logs - logs.diagonal(axis1=1, axis2=2).max(axis=1)[:, None, None])
+    return weights / weights.trace(axis1=1, axis2=2)[:, None, None] * np.exp(1j * phases)
 
 
 def simulate_stream(

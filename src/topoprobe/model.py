@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
@@ -75,9 +75,10 @@ class AnyonModel:
         Quantum dimensions d_a >= 1.
     total_dim : float
         D with D^2 = sum_a d_a^2.
-    s_matrix, t_matrix, monodromy : ndarray of complex
-        Modular S, diagonal T with entries theta_a, and the monodromy
-        matrix M_ab = S_ab S_00 / (S_0a S_0b).
+    s_matrix, monodromy : ndarray of complex
+        Modular S and the monodromy matrix M_ab = S_ab S_00 / (S_0a S_0b).
+    b_matrix : ndarray of complex, read-only, computed on first read
+        The double-twist regluing B = S T^2 S^{-1}, with T = diag(twists).
     """
 
     charges: tuple[str, ...]
@@ -90,12 +91,18 @@ class AnyonModel:
     dims: np.ndarray
     total_dim: float
     s_matrix: np.ndarray
-    t_matrix: np.ndarray
     monodromy: np.ndarray
 
     def __post_init__(self):
-        for name in ("fusion", "twists", "dims", "s_matrix", "t_matrix", "monodromy"):
+        for name in ("fusion", "twists", "dims", "s_matrix", "monodromy"):
             getattr(self, name).flags.writeable = False
+
+    @cached_property
+    def b_matrix(self) -> np.ndarray:
+        # Lazy, so a singular S fails certification rather than construction.
+        b = (self.s_matrix * self.twists**2) @ np.linalg.inv(self.s_matrix)
+        b.flags.writeable = False
+        return b
 
     @property
     def n_charges(self) -> int:
@@ -574,7 +581,6 @@ def build_model(description: Mapping) -> AnyonModel:
         dims=dims,
         total_dim=total_dim,
         s_matrix=s_matrix,
-        t_matrix=np.diag(twists),
         monodromy=s_matrix * s_matrix[0, 0] / np.outer(s_matrix[0], s_matrix[0]),
     )
     report = verify_consistency(model)

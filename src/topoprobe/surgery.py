@@ -32,15 +32,12 @@ _WITNESS_TOLERANCE = 1e-12
 class DiagonalLoopOperator:
     """Operator acting charge-diagonally on the lines through a loop.
 
-    ``entries[c]`` multiplies a charge-c line. ``extrapolated`` marks
-    operators built from a twist count other than the doubly-twisted case
-    the rest of the package is validated against.
+    ``entries[c]`` multiplies a charge-c line.
     """
 
     model: AnyonModel
     basis: str
     entries: np.ndarray
-    extrapolated: bool = False
 
     def __post_init__(self):
         if self.basis not in _BASES:
@@ -145,16 +142,7 @@ def tau_operator(model: AnyonModel, m: int) -> DiagonalLoopOperator:
 
 def modular_matrices(model: AnyonModel) -> ModularMatrices:
     """S, T, and the combination B = S T^2 S^{-1} for the model."""
-    s = model.s_matrix
-    t = model.t_matrix
-    b = s @ t @ t @ np.linalg.inv(s)
-    return ModularMatrices(s=s, t=t, b=b)
-
-
-def _vector_to_operator(model: AnyonModel, vector: np.ndarray) -> np.ndarray:
-    # Gluing normalization: a bare charge-c line contributes S_{0c}, so the
-    # induced per-line factor is the coefficient divided by that weight.
-    return vector / model.s_matrix[VACUUM]
+    return ModularMatrices(s=model.s_matrix, t=np.diag(model.twists), b=model.b_matrix)
 
 
 def solid_torus_operator(
@@ -178,35 +166,22 @@ def solid_torus_operator(
                 f"{model.charge_name(core)}"
             )
         vector = (model.dims / model.total_dim).astype(complex)
+    elif boundary == "twisted":
+        vector = model.b_matrix[:, core]  # B applied to the charge-core line, read off as a column
     else:
         vector = np.zeros(n, dtype=complex)
         vector[core] = 1.0
-        if boundary == "twisted":
-            vector = modular_matrices(model).b @ vector
     torus = TorusVector(model=model, basis=boundary, coefficients=vector)
-    operator = DiagonalLoopOperator(
-        model=model, basis=boundary, entries=_vector_to_operator(model, vector)
-    )
+    # Gluing normalization: a bare charge-c line contributes S_{0c}, so the
+    # induced per-line factor is the coefficient divided by that weight.
+    operator = DiagonalLoopOperator(model=model, basis=boundary, entries=vector / model.s_matrix[VACUUM])
     return torus, operator
 
 
-def twisted_operator(
-    model: AnyonModel, core: Charge, total_twists: int = 2
-) -> DiagonalLoopOperator:
+def twisted_operator(model: AnyonModel, core: Charge) -> DiagonalLoopOperator:
     """Diagonal operator of a twisted torus holding a charge-``core`` Wilson line.
 
-    Built by conjugating ``total_twists`` Dehn twists with S and reading off
-    the column at ``core``, normalized per charge line. Twist counts other
-    than 2 extrapolate beyond the validated regime and are flagged as such
-    on the returned operator.
+    The operator of ``solid_torus_operator(model, "twisted", core)``: the
+    column of the model's B = S T^2 S^{-1} at ``core``, normalized per line.
     """
-    s = model.s_matrix
-    t_power = np.diag(model.twists ** int(total_twists))
-    transform = s @ t_power @ np.linalg.inv(s)
-    entries = _vector_to_operator(model, transform[:, core])
-    return DiagonalLoopOperator(
-        model=model,
-        basis="twisted",
-        entries=entries,
-        extrapolated=(int(total_twists) != 2),
-    )
+    return solid_torus_operator(model, "twisted", core)[1]

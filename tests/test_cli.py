@@ -553,17 +553,32 @@ def test_json_writers_refuse_nonfinite_numbers(tmp_path, write):
         write(_ArtifactWriter(str(tmp_path)))
 
 
-def test_a_nan_artifact_rolls_back_the_run(tmp_path, monkeypatch, capsys):
+@pytest.fixture
+def nan_asymptotic(monkeypatch):
     exact = cli.asymptotic_measure
     monkeypatch.setattr(
         cli, "asymptotic_measure",
         lambda *args: [(math.nan, fixed) for _, fixed in exact(*args)],
     )
+
+
+def test_a_nan_artifact_rolls_back_the_run(tmp_path, nan_asymptotic, capsys):
     out = tmp_path / "run"
     assert main(interfere_args(out)) == 2
     assert "JSON compliant" in capsys.readouterr().err
-    # trajectories.jsonl and summary.csv were written before asymptotic.json failed
-    assert list(out.iterdir()) == []
+    # trajectories.jsonl and summary.csv were written before asymptotic.json failed;
+    # the output directory the run created goes too
+    assert not out.exists()
+
+
+def test_a_rollback_keeps_an_existing_output_directory(tmp_path, nan_asymptotic, capsys):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept")
+    assert main(interfere_args(out)) == 2
+    assert "JSON compliant" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["notes.txt"]
+    assert (out / "notes.txt").read_text() == "kept"
 
 
 def _error_classes():
@@ -609,6 +624,14 @@ def test_a_malformed_s_matrix_is_a_usage_error(tmp_path, capsys, s_rows):
     path.write_text(json.dumps(dict(description, S=s_rows)))
     assert main(["validate", "--model", str(path)]) == 2
     assert f"S matrix {s_rows!r} is not 2x2 [re, im] pairs" in capsys.readouterr().err
+
+
+def test_a_singular_s_fails_validation_not_the_inversion(tmp_path, capsys):
+    # Z_2 with trivial braiding has S = [[1, 1], [1, 1]] / sqrt 2; B = S T^2 S^-1 is never formed for it
+    path = tmp_path / "z2_bosons.json"
+    path.write_text(json.dumps(oracles.model_description(oracles.zn_data(2, 0))))
+    assert main(["validate", "--model", str(path)]) == 1
+    assert "model fails the s_unitarity family" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("mutate, message", [

@@ -16,6 +16,7 @@ from topoprobe import (
     QubitState,
     ZeroProbability,
     align_global_phase,
+    build_model,
     clifford_library,
     density_matrix,
     ising,
@@ -31,6 +32,7 @@ from topoprobe import (
 from topoprobe import rng
 from topoprobe.cli import _initial_state, parse_config
 from topoprobe.gates import _kraus
+from topoprobe.model import _ising_description
 
 COS8 = math.cos(math.pi / 8.0)
 SIN8 = math.sin(math.pi / 8.0)
@@ -128,16 +130,16 @@ def test_measurement_matches_closed_form_reference():
 
 
 def test_twisted_kraus_operators_are_shared_read_only():
-    kraus = _kraus("I")
-    assert _kraus("I") is kraus
-    assert kraus.shape == (2,)
+    kraus = _kraus(ising(), KET0.labels)
+    assert _kraus(ising(), KET0.labels) is kraus
+    assert kraus.shape == (2, 2)  # one diagonal per outcome
     with pytest.raises(ValueError):
-        kraus[0] = 0.0
+        kraus[0, 0] = 0.0
 
 
 def _assert_matches_kraus_product(rho):
-    for outcome in ("I", "psi"):
-        probability, updated = oracles.kraus_product(np.diag(_kraus(outcome)), rho.matrix)
+    for outcome, kraus in zip(("I", "psi"), _kraus(ising(), rho.labels)):
+        probability, updated = oracles.kraus_product(np.diag(kraus), rho.matrix)
         pr, post = twisted_measure(rho, outcome)
         assert pr == probability
         # == holds bit for bit except on signed zeros, whose sign in the product follows its summation order
@@ -165,7 +167,7 @@ def test_sampled_outcome_is_the_stream_draw():
     for seed in range(2000):
         rho = states[seed % len(states)]
         u = rng.generator(seed).random()
-        probability, _ = oracles.kraus_product(np.diag(_kraus("I")), rho.matrix)
+        probability, _ = oracles.kraus_product(np.diag(_kraus(ising(), rho.labels)[0]), rho.matrix)
         outcome, post = sample_twisted(rho, seed)
         assert outcome == ("I" if u < probability else "psi")
         assert post.matrix.tobytes() == twisted_measure(rho, outcome)[1].matrix.tobytes()
@@ -177,6 +179,41 @@ def test_twisted_measurement_refuses_other_labels(labels):
     for measure in (lambda: twisted_measure(rho, "I"), lambda: sample_twisted(rho, 0)):
         with pytest.raises(ValueError, match="I/psi qubit"):
             measure()
+
+
+def _reordered_ising():
+    # the Ising theory with its charges listed as I, psi, sigma
+    description = _ising_description()
+    description["charges"] = ["I", "psi", "sigma"]
+    return build_model(description)
+
+
+def test_twisted_measurement_refuses_another_theorys_labels():
+    # on this ordering the Ising qubit's label indices name the (I, sigma) pair
+    rho = density_matrix(_reordered_ising(), KET0.labels, np.diag([0.5, 0.5]))
+    for measure in (lambda: twisted_measure(rho, "I"), lambda: sample_twisted(rho, 0)):
+        with pytest.raises(ValueError, match="I/psi qubit"):
+            measure()
+
+
+def test_the_kraus_pair_comes_from_the_states_own_model():
+    rebuilt = build_model(_ising_description())
+    reordered = _reordered_ising()
+    for seed, state in enumerate([KET0, PLUS, bloch(0.3, -0.5, 0.2), bloch(0.0, 0.7, -0.7)]):
+        twin = density_matrix(rebuilt, state.labels, state.matrix)
+        for outcome in ("I", "psi"):
+            probability, post = twisted_measure(state, outcome)
+            twin_probability, twin_post = twisted_measure(twin, outcome)
+            assert twin_probability == probability and np.array_equal(twin_post.matrix, post.matrix)
+            assert twin_post.model is rebuilt
+            # the same qubit on the reordered theory's own I/psi labels
+            moved = density_matrix(reordered, ((0, 0, 0), (1, 1, 0)), state.matrix)
+            moved_probability, moved_post = twisted_measure(moved, outcome)
+            assert moved_probability == pytest.approx(probability, abs=1e-15)
+            assert np.max(np.abs(moved_post.matrix - post.matrix)) < 1e-14
+        outcome, post = sample_twisted(state, seed)
+        twin_outcome, twin_post = sample_twisted(twin, seed)
+        assert twin_outcome == outcome and np.array_equal(twin_post.matrix, post.matrix)
 
 
 def test_sigma_outcome_is_impossible():

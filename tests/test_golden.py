@@ -6,7 +6,7 @@ digest of every artifact and of stdout (with the output path replaced by
 of a run fails here. A change that means to move a number updates the
 digest and says so in CHANGES.md.
 
-To print the digests of the current code::
+To print the digests of the cases the current code moves::
 
     PYTHONPATH=src:tests python -c "import test_golden; test_golden.print_digests()"
 """
@@ -71,7 +71,7 @@ GOLDEN = {
     "interfere-detuned": {
         "asymptotic.json": "a2106f9907efcac40b3dbe67c9ba6266c281e833013ab8e175fa570164418ce1",
         "summary.csv": "2f43c807f4f2cb247d5ef8a38a79ca200c842cf6dfbcf725b87ca6590852a96b",
-        "trajectories.jsonl": "f7801efe02f8cb50bc58b4808da3e2156b984e883be5adc417158b13199ea032",
+        "trajectories.jsonl": "7a5da7a4dfa11d6c787b0a76446dd373660dd6930bccc46982bbfdd817a7e96f",
         "stdout": "df6a3d3d2bc4759058ec937fd44f64525221b7c5298006c4777d2d46188cdb2a",
     },
     "interfere-diagonal": {
@@ -83,7 +83,7 @@ GOLDEN = {
     "interfere-complex": {
         "asymptotic.json": "c6bc6963b4b68f643e4b7cd28193b4f2c6868f3be8b4b2c8d2699bd466e13158",
         "summary.csv": "73ede099aa1b8b975cd6a2093a673caac6b67ff95a3448cc738acebba51b3592",
-        "trajectories.jsonl": "1d24bc861ef9f1055290fb46fc397a61347c68abe5942d33004c8cd083a64617",
+        "trajectories.jsonl": "0403607fb017a2549faf9c4d38d25619b7cacb46dd35e66b141e9445a43e2b43",
         "stdout": "2c88dfa45e7993d6738f9fb93290c74f9b8273bd43ad85ab1950317fd20d911c",
     },
     "twisted-default": {
@@ -103,7 +103,7 @@ GOLDEN = {
         "stdout": "27960126bc587e4e5e9cf33c6a934453124eeebc447d314773b814d93052b9e8",
     },
     "dump-ising": {
-        "matrices.json": "ff6de3bbba7362297b8f41881a3b50bce673f441a4886360cfbe1d7fea11212f",
+        "matrices.json": "b6d63c50b1254f634a32ea81c43e61d077656addb2d6cf1d4c4543bac8b1e663",
         "stdout": "ad848722b2632bf65c0e4462c0aee8e5533375b627f73d1341c547c6a0319efe",
     },
     "dump-fibonacci": {
@@ -138,11 +138,20 @@ def run_case(name: str, root: Path) -> tuple[int, dict]:
 
 
 def print_digests():
+    """Print the entry of each case whose digests differ from GOLDEN, naming the moved files."""
+    unchanged = 0
     with tempfile.TemporaryDirectory() as root:
         for name in CASES:
             code, digests = run_case(name, Path(root))
             assert code == 0, name
-            print(f"    {name!r}: {digests!r},")
+            pinned = GOLDEN.get(name, {})
+            moved = sorted(key for key in digests.keys() | pinned.keys() if digests.get(key) != pinned.get(key))
+            if moved:
+                print(f"    # moved: {', '.join(moved)}")
+                print(f"    {name!r}: {digests!r},")
+            else:
+                unchanged += 1
+    print(f"{unchanged} of {len(CASES)} cases unchanged")
 
 
 @pytest.mark.parametrize("name", list(CASES))

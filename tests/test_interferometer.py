@@ -348,6 +348,16 @@ def test_stream_leaves_an_eigenstate_alone():
     assert {round(p, 12) for p in run.probabilities} <= expected
 
 
+def test_a_long_stream_with_equal_factors_does_not_drift():
+    # the psi probe cannot tell I from psi, so every factor is equal and the exact final state is rho0
+    vector = np.array([0.6, 0.8j])
+    rho = density_matrix(ising(), QUBIT_LABELS, np.outer(vector, vector.conj()))
+    config = InterferometerConfig(probe=PSI, t1=math.sqrt(0.3), r1=math.sqrt(0.7), theta_I=1.0)
+    final = simulate_stream(ising(), rho, config, 100_000, seed=3).final_state.matrix
+    assert np.max(np.abs(final - rho.matrix)) <= 1e-14
+    assert abs(np.trace(final) - 1.0) <= 1e-14
+
+
 def test_empty_and_negative_streams():
     rho = qubit_state(0.5, 0.5)
     run = simulate_stream(ising(), rho, sigma_config(), 0, seed=0)

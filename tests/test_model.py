@@ -69,10 +69,21 @@ def test_ising_symbols_match_reference():
     assert model.dual == (0, 1, 2)
 
 
+def test_b_matrix_is_computed_once_and_read_only():
+    model = ising()
+    b = model.b_matrix
+    assert model.b_matrix is b
+    with pytest.raises(ValueError):
+        b[0, 0] = 0.0
+    with pytest.raises(AttributeError):
+        model.b_matrix = b.copy()
+    assert model.b_matrix is b
+
+
 def test_ising_modular_matrices():
     model = ising()
     assert np.max(np.abs(model.s_matrix - oracles.printed_ising_s())) < 1e-15
-    assert np.max(np.abs(np.diag(model.t_matrix) - model.twists)) == 0.0
+    assert np.max(np.abs(model.b_matrix - oracles.ising_b_matrix())) < 1e-12
     # ratios of S entries land on exact small integers for this theory
     expected_m = np.array([[1, 1, 1], [1, 0, -1], [1, -1, 1]], dtype=complex)
     assert np.array_equal(model.monodromy, expected_m)

@@ -12,6 +12,7 @@ import oracles
 from topoprobe import (
     InvalidCore,
     NonAbelianSlide,
+    build_model,
     ising,
     loop_around_line,
     modular_matrices,
@@ -165,7 +166,6 @@ def test_longitudinal_torus_is_the_identity_channel():
     assert torus.basis == "longitudinal"
     assert np.max(np.abs(torus.coefficients - model.dims / model.total_dim)) < 1e-15
     assert np.max(np.abs(op.entries - 1.0)) < 1e-12
-    assert not op.extrapolated
 
 
 def test_longitudinal_torus_rejects_a_core_line():
@@ -224,7 +224,17 @@ def test_twisted_operator_agrees_with_torus_construction():
         _, via_torus = solid_torus_operator(model, "twisted", core)
         assert np.max(np.abs(direct.entries - via_torus.entries)) < 1e-12
         assert direct.basis == "twisted"
-        assert not direct.extrapolated
+
+
+@pytest.mark.parametrize("name", ["ising", "fibonacci", "semion", "z3", "z5"])
+def test_every_twisted_route_reads_the_one_b_matrix(name, fibonacci, semion):
+    # one computation of B per model: the operator, the torus and the modular bundle agree bit for bit
+    models = {"ising": ising(), "fibonacci": fibonacci, "semion": semion}
+    model = models.get(name) or build_model(oracles.model_description(oracles.zn_data(int(name[1:]), 1)))
+    for core in range(model.n_charges):
+        direct = twisted_operator(model, core).entries
+        assert np.array_equal(direct, solid_torus_operator(model, "twisted", core)[1].entries)
+        assert np.array_equal(direct, modular_matrices(model).b[:, core] / model.s_matrix[0])
 
 
 def test_twisted_operator_halves_are_the_channel_kraus_pair():
@@ -232,26 +242,6 @@ def test_twisted_operator_halves_are_the_channel_kraus_pair():
     entries_psi = twisted_operator(ising(), 2).entries
     assert np.max(np.abs(0.5 * entries_i[[0, 2]] - np.diag(oracles.twisted_kraus(True)))) < 1e-12
     assert np.max(np.abs(0.5 * entries_psi[[0, 2]] - np.diag(oracles.twisted_kraus(False)))) < 1e-12
-
-
-def test_zero_twists_reduce_to_the_plain_meridional_torus():
-    model = ising()
-    op = twisted_operator(model, 0, total_twists=0)
-    assert op.extrapolated
-    _, meridional = solid_torus_operator(model, "meridional", 0)
-    assert np.max(np.abs(op.entries - meridional.entries)) < 1e-12
-
-
-@given(st.integers(min_value=-4, max_value=4))
-def test_twist_counts_compose_multiplicatively(m):
-    # S T^m S^-1 columns: m twists then 2 more equals m + 2 in one step
-    model = ising()
-    stacked = twisted_operator(model, 0, total_twists=m + 2)
-    once = twisted_operator(model, 0, total_twists=m)
-    assert stacked.extrapolated == (m != 0)
-    b = modular_matrices(model).b
-    recombined = b @ (once.entries * model.s_matrix[0])
-    assert np.max(np.abs(stacked.entries * model.s_matrix[0] - recombined)) < 1e-12
 
 
 def test_operator_containers_validate_their_shape():
