@@ -13,7 +13,7 @@ Configuration merges three layers: documented defaults, then a JSON config
 file (--config), then command-line flags. Identical (config, seed) inputs
 produce byte-identical artifacts; nothing timestamped is ever written, and
 every number in an artifact is a library call result passed through
-unchanged. On failure, files created by the failing run are removed.
+unchanged. A failed run leaves the output directory as it found it.
 
 Exit codes: 0 success, 1 validation failure, 2 usage or configuration
 error, 3 numeric error (conditioning on an impossible outcome, or
@@ -30,6 +30,7 @@ import dataclasses
 import importlib.resources
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -308,44 +309,42 @@ def _json_default(value):
 
 
 class _ArtifactWriter:
-    """Write-or-rollback helper: files and directories created here vanish if the run fails."""
+    """Artifacts go to temporary names until :meth:`commit`; a rollback leaves the directory as it was."""
 
     def __init__(self, out_dir: str | None):
         self.root = Path(out_dir or ".")
-        self.created: list[Path] = []
+        self.pending: list[tuple[Path, Path]] = []  # (temporary, final)
         self.made_dirs: list[Path] = []  # deepest first
 
     def _prepare(self, name: str) -> Path:
         self.made_dirs += [d for d in (self.root, *self.root.parents) if not d.exists()]
         self.root.mkdir(parents=True, exist_ok=True)
-        path = self.root / name
-        self.created.append(path)
+        path = self.root / f".{name}.partial"
+        self.pending.append((path, self.root / name))
         return path
 
-    def write_json(self, name: str, payload) -> Path:
-        path = self._prepare(name)
+    def write_json(self, name: str, payload):
         text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default, allow_nan=False)
-        path.write_text(text + "\n")
-        return path
+        self._prepare(name).write_text(text + "\n")
 
-    def write_jsonl(self, name: str, records) -> Path:
+    def write_jsonl(self, name: str, records):
         """One record per line; records hold only plain JSON types (no numpy)."""
-        path = self._prepare(name)
         lines = [json.dumps(record, sort_keys=True, allow_nan=False) for record in records]
-        path.write_text("\n".join(lines) + ("\n" if lines else ""))
-        return path
+        self._prepare(name).write_text("\n".join(lines) + ("\n" if lines else ""))
 
-    def write_csv(self, name: str, header, rows) -> Path:
-        path = self._prepare(name)
-        with path.open("w", newline="") as handle:
+    def write_csv(self, name: str, header, rows):
+        with self._prepare(name).open("w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(header)
             writer.writerows(rows)
-        return path
+
+    def commit(self):
+        for temporary, final in self.pending:
+            os.replace(temporary, final)
 
     def rollback(self):
-        for path in self.created:
-            path.unlink(missing_ok=True)
+        for temporary, _ in self.pending:
+            temporary.unlink(missing_ok=True)
         for directory in self.made_dirs:
             with contextlib.suppress(OSError):  # kept when something else wrote into it
                 directory.rmdir()
@@ -610,8 +609,8 @@ _SUBCOMMANDS = {
 def execute(run: RunConfig, subcommand: str) -> int:
     """Run one subcommand; returns its exit code, raising domain errors.
 
-    Artifacts written by a failing run are removed before the error
-    propagates, so output directories never hold partial results.
+    Artifacts take their names only after the handler returns, so a failing
+    run leaves no partial results and keeps an earlier run's files.
     """
     try:
         handler = _SUBCOMMANDS[subcommand][0]
@@ -619,7 +618,9 @@ def execute(run: RunConfig, subcommand: str) -> int:
         raise ParseError(f"unknown subcommand {subcommand!r}") from None
     writer = _ArtifactWriter(run.out_dir)
     try:
-        return handler(run, writer)
+        code = handler(run, writer)
+        writer.commit()
+        return code
     except BaseException:
         writer.rollback()
         raise

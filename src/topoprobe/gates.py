@@ -22,7 +22,7 @@ import numpy as np
 
 from . import rng
 from .errors import ZeroProbability
-from .interferometer import _ZERO_TOLERANCE, AnyonicDensityMatrix, _draw, density_matrix
+from .interferometer import _ZERO_TOLERANCE, AnyonicDensityMatrix, _condition, _draw, density_matrix
 from .model import ising
 from .surgery import twisted_operator
 
@@ -74,22 +74,18 @@ def QubitDensity(matrix) -> AnyonicDensityMatrix:
 
 @lru_cache(maxsize=64)
 def _kraus(model, labels) -> np.ndarray:
-    """Per outcome, half its twisted loop operator at the labels (I, I; I), (psi, psi; I); read-only."""
+    """Per outcome, the read-only entrywise factors k k^dagger on the labels (I, I; I), (psi, psi; I).
+
+    k is half the outcome's twisted loop operator; the diagonal is exactly |k|^2, the draw weights.
+    """
     if tuple(tuple(map(model.charge_name, label)) for label in labels) != _QUBIT_NAMES:
         raise ValueError("the twisted measurement acts on the I/psi qubit, labels (I, I; I) and (psi, psi; I)")
     charges = [a for a, _, _ in labels]  # the I and psi lines, in outcome order
     kraus = 0.5 * np.array([twisted_operator(model, core).entries[charges] for core in charges])
-    kraus.flags.writeable = False
-    return kraus
-
-
-def _conditioned(rho, k, outcome) -> tuple[float, AnyonicDensityMatrix]:
-    """Probability and state after the diagonal Kraus operator k: entry (i, j) scales by k_i conj(k_j)."""
-    updated = (k[:, None] * rho.matrix) * k.conj()
-    probability = float(np.real(np.trace(updated)))
-    if probability < _ZERO_TOLERANCE:
-        raise ZeroProbability(f"twisted outcome {outcome} has probability {probability:.3e}")
-    return probability, AnyonicDensityMatrix(model=rho.model, labels=rho.labels, matrix=updated / probability)
+    factors = kraus[:, :, None] * kraus.conj()[:, None, :]
+    factors[:, [0, 1], [0, 1]] = np.abs(kraus) ** 2
+    factors.flags.writeable = False
+    return factors
 
 
 def twisted_measure(rho: AnyonicDensityMatrix, outcome: str) -> tuple[float, AnyonicDensityMatrix]:
@@ -97,18 +93,18 @@ def twisted_measure(rho: AnyonicDensityMatrix, outcome: str) -> tuple[float, Any
 
     Returns the outcome probability and the conditioned qubit state. The
     Kraus operator K is half the twisted loop operator of the state's own
-    model on the qubit charges, and diagonal.
+    model on the qubit charges, and diagonal: the update is the probe's rule.
     """
-    return _conditioned(rho, _kraus(rho.model, rho.labels)[_outcome_bit(outcome)], outcome)
+    return _condition(rho, _kraus(rho.model, rho.labels)[_outcome_bit(outcome)], outcome)
 
 
 def sample_twisted(rho: AnyonicDensityMatrix, seed: int) -> tuple[str, AnyonicDensityMatrix]:
     """One twisted outcome, drawn as a one-probe stream with vacuum as transmitted, and its conditioned state."""
-    kraus = _kraus(rho.model, rho.labels)
-    weights = (np.abs(kraus) ** 2).tolist()  # diagonals of K^dagger K
+    factors = _kraus(rho.model, rho.labels)
+    weights = np.real(np.diagonal(factors, axis1=1, axis2=2)).tolist()  # diagonals of K^dagger K
     (vacuum,), _ = _draw(np.real(np.diagonal(rho.matrix)).tolist(), *weights, [rng.generator(seed).random()])
     bit = 0 if vacuum else 1
-    return OUTCOMES[bit], _conditioned(rho, kraus[bit], OUTCOMES[bit])[1]
+    return OUTCOMES[bit], _condition(rho, factors[bit], OUTCOMES[bit])[1]
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +127,8 @@ def synthesize_magic_state(outcome: str) -> np.ndarray:
     :func:`align_global_phase` or a fidelity.
     """
     hadamard = clifford_library()["H"]
-    k = _kraus(ising(), _QUBIT_LABELS)[_outcome_bit(outcome)]
+    charges = [a for a, _, _ in _QUBIT_LABELS]
+    k = 0.5 * twisted_operator(ising(), charges[_outcome_bit(outcome)]).entries[charges]
     vector = (k[:, None] * hadamard) @ np.array([1.0, 0.0], dtype=complex)
     norm = float(np.linalg.norm(vector))
     if norm < _ZERO_TOLERANCE:

@@ -254,7 +254,10 @@ def _require_supported(model, rho, populated=None):
     """Raise UnsupportedBasisChange if a populated entry has no unique connecting charge.
 
     ``populated`` defaults to the entries of rho above the zero tolerance.
+    A state of another model object, whose labels index its own charges, raises ValueError.
     """
+    if rho.model is not model:
+        raise ValueError("the state belongs to another model; build it on the model that measures it")
     if populated is None:
         populated = np.abs(rho.matrix) > _ZERO_TOLERANCE
     hits = np.argwhere((_connecting_charges(model, rho.labels) == _AMBIGUOUS) & populated)
@@ -284,6 +287,15 @@ def _factors(model, labels, config):
     return p_t, p_r
 
 
+def _condition(rho, factors, outcome) -> tuple[float, AnyonicDensityMatrix]:
+    """Probe and twisted measurement alike: p = Re sum_i rho_ii F_ii and the state rho * F / p, entrywise."""
+    probability = float(np.real(np.sum(rho.diagonal() * np.diagonal(factors))))
+    if probability < _ZERO_TOLERANCE:
+        message = f"outcome {outcome} has probability {probability:.3e}; conditioning on it is not meaningful"
+        raise ZeroProbability(message)
+    return probability, AnyonicDensityMatrix(rho.model, rho.labels, rho.matrix * factors / probability)
+
+
 def apply_probe(
     model: AnyonModel,
     rho: AnyonicDensityMatrix,
@@ -297,18 +309,7 @@ def apply_probe(
     every entry by its outcome factor.
     """
     _require_supported(model, rho)
-    p_t, p_r = _factors(model, rho.labels, config)
-    factors = p_t if s is ProbeOutcome.TRANSMITTED else p_r
-    probability = float(np.real(np.sum(rho.diagonal() * np.diagonal(factors))))
-    if probability < _ZERO_TOLERANCE:
-        raise ZeroProbability(
-            f"outcome {s.value} has probability {probability:.3e}; "
-            "conditioning on it is not meaningful"
-        )
-    post = AnyonicDensityMatrix(
-        model=model, labels=rho.labels, matrix=rho.matrix * factors / probability
-    )
-    return probability, post
+    return _condition(rho, _factors(model, rho.labels, config)[s is ProbeOutcome.REFLECTED], s.value)
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +322,7 @@ class ProbeTrajectory:
 
     ``probabilities[k]`` is the probability the observed outcome k had
     given the state at that moment; ``coherences[k]`` is the conditioned
-    state's coherence right after probe k. ``states`` is populated only
-    when state retention was requested.
+    state's coherence right after probe k.
     """
 
     seed: int
@@ -330,7 +330,6 @@ class ProbeTrajectory:
     probabilities: tuple[float, ...]
     coherences: tuple[float, ...]
     final_state: AnyonicDensityMatrix
-    states: tuple[AnyonicDensityMatrix, ...] | None = None
     n_transmitted: int = field(init=False, default=0)
     fraction: float = field(init=False, default=0.0)
 
@@ -387,7 +386,6 @@ def simulate_stream(
     config: InterferometerConfig,
     n_probes: int,
     seed: int,
-    keep_states: bool = False,
 ) -> ProbeTrajectory:
     """Run a seeded stream of identical probes, conditioning after each.
 
@@ -396,8 +394,8 @@ def simulate_stream(
     trajectories. The per-entry factors do not depend on the state, so the
     only sequential work is one Bernoulli draw per probe on the populations,
     renormalized by their sum. After k probes with n transmitted the state
-    is rho0 * p_t**n * p_r**(k - n) / trace entrywise; coherences, kept
-    states and the final state come from that closed form, in log space.
+    is rho0 * p_t**n * p_r**(k - n) / trace entrywise; coherences and the
+    final state come from that closed form, in log space.
     """
     if n_probes < 0:
         raise ValueError("probe count must be nonnegative")
@@ -408,12 +406,10 @@ def simulate_stream(
     transmitted, probabilities = _draw(np.real(np.diagonal(rho.matrix)).tolist(), diag_t, diag_r, uniforms)
     n_t = np.cumsum(np.array(transmitted, dtype=np.int64))
     n_r = np.arange(1, n_probes + 1) - n_t
-    coherences, states, matrix = [], [], rho.matrix
+    coherences, matrix = [], rho.matrix
     for rows in (slice(k, k + _STREAM_CHUNK) for k in range(0, n_probes, _STREAM_CHUNK)):
         chunk = _conditioned_states(rho.matrix, p_t, p_r, n_t[rows], n_r[rows])
         coherences.extend(_coherence(chunk).tolist())
-        if keep_states:
-            states.extend(AnyonicDensityMatrix(model=model, labels=rho.labels, matrix=m) for m in chunk)
         matrix = chunk[-1]
     outcomes = (ProbeOutcome.REFLECTED, ProbeOutcome.TRANSMITTED)
     return ProbeTrajectory(
@@ -422,7 +418,6 @@ def simulate_stream(
         probabilities=tuple(probabilities),
         coherences=tuple(coherences),
         final_state=AnyonicDensityMatrix(model=model, labels=rho.labels, matrix=matrix),
-        states=tuple(states) if keep_states else None,
     )
 
 
@@ -495,9 +490,9 @@ def fixed_state(
             f"{{{', '.join(model.charge_name(a) for a in kappa.members)}}}"
         )
     matrix /= weight
-    charges = _connecting_charges(model, rho.labels)
     populated = (matrix != 0) & ~np.eye(len(rho.labels), dtype=bool)
     _require_supported(model, rho, populated)
+    charges = _connecting_charges(model, rho.labels)
     blind = (charges >= 0) & (np.abs(model.monodromy[charges, kappa.probe] - 1.0) <= _CLASS_TOLERANCE)
     matrix[populated & ~blind] = 0.0
     return AnyonicDensityMatrix(model=model, labels=rho.labels, matrix=matrix)

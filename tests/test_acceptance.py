@@ -208,8 +208,8 @@ def test_criterion_07_probe_blindness():
         for r00, r11, r01 in ((0.5, 0.5, 0.5), (0.3, 0.7, 0.2 + 0.1j)):
             rho = qubit(r00, r11, r01)
             for seed in (0, 5):
-                run = simulate_stream(model, rho, config, 40, seed, keep_states=True)
-                for state in run.states:
+                for k in range(1, 41):
+                    state = simulate_stream(model, rho, config, k, seed).final_state
                     assert np.max(np.abs(state.matrix - rho.matrix)) < 1e-12
             for outcome in ProbeOutcome:
                 _, post = apply_probe(model, rho, config, outcome)

@@ -175,7 +175,7 @@ PINNED = {
     gates.QubitDensity: ["matrix"],
     gates.twisted_measure: ["rho", "outcome"],
     gates.sample_twisted: ["rho", "seed"],
-    interferometer.simulate_stream: ["model", "rho", "config", "n_probes", "seed", "keep_states"],
+    interferometer.simulate_stream: ["model", "rho", "config", "n_probes", "seed"],
     interferometer.p_factor: ["model", "a", "a_prime", "e", "config", "s"],
     interferometer.asymptotic_measure: ["model", "rho", "config"],
     interferometer.outcome_distribution: ["model", "rho", "config", "n_probes"],

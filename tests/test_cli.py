@@ -581,6 +581,18 @@ def test_a_rollback_keeps_an_existing_output_directory(tmp_path, nan_asymptotic,
     assert (out / "notes.txt").read_text() == "kept"
 
 
+def test_a_failed_rerun_keeps_the_earlier_runs_artifacts(tmp_path, request, capsys):
+    out = tmp_path / "run"
+    assert main(interfere_args(out)) == 0
+    earlier = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert sorted(earlier) == ["asymptotic.json", "summary.csv", "trajectories.jsonl"]
+    request.getfixturevalue("nan_asymptotic")
+    # another seed, so a rerun that rewrote trajectories.jsonl or summary.csv would change their bytes
+    assert main(interfere_args(out, ["--seed", "43"])) == 2
+    assert "JSON compliant" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == earlier
+
+
 def _error_classes():
     return [
         value for value in vars(errors).values()
@@ -670,10 +682,10 @@ def test_failed_runs_leave_no_partial_files(tmp_path):
     writer = _ArtifactWriter(str(tmp_path / "partial"))
     writer.write_json("a.json", {"x": 1})
     writer.write_csv("b.csv", ["h"], [[1]])
-    assert (tmp_path / "partial" / "a.json").exists()
+    # both are written, under temporary names until the commit
+    assert sorted(p.name for p in (tmp_path / "partial").iterdir()) == [".a.json.partial", ".b.csv.partial"]
     writer.rollback()
-    assert not (tmp_path / "partial" / "a.json").exists()
-    assert not (tmp_path / "partial" / "b.csv").exists()
+    assert not (tmp_path / "partial").exists()
 
 
 def test_entry_point_runs_in_a_subprocess(tmp_path):

@@ -28,6 +28,7 @@ from topoprobe import (
     state_fidelity,
     synthesize_magic_state,
     twisted_measure,
+    twisted_operator,
 )
 from topoprobe import rng
 from topoprobe.cli import _initial_state, parse_config
@@ -37,6 +38,7 @@ from topoprobe.model import _ising_description
 COS8 = math.cos(math.pi / 8.0)
 SIN8 = math.sin(math.pi / 8.0)
 
+I, PSI = 0, 2
 KET0 = QubitDensity(np.diag([1.0, 0.0]))
 PLUS = QubitDensity(np.full((2, 2), 0.5, dtype=complex))
 
@@ -129,21 +131,38 @@ def test_measurement_matches_closed_form_reference():
         assert np.max(np.abs(post.matrix - post_ref)) < 1e-12
 
 
+def kraus_diagonals(model=None, charges=(I, PSI)):
+    """Half of each outcome's twisted loop operator at the I and psi lines, in outcome order."""
+    model = ising() if model is None else model
+    return [0.5 * twisted_operator(model, core).entries[list(charges)] for core in charges]
+
+
 def test_twisted_kraus_operators_are_shared_read_only():
-    kraus = _kraus(ising(), KET0.labels)
-    assert _kraus(ising(), KET0.labels) is kraus
-    assert kraus.shape == (2, 2)  # one diagonal per outcome
+    factors = _kraus(ising(), KET0.labels)
+    assert _kraus(ising(), KET0.labels) is factors
+    assert factors.shape == (2, 2, 2)  # one entrywise factor matrix per outcome
     with pytest.raises(ValueError):
-        kraus[0, 0] = 0.0
+        factors[0, 0, 0] = 0.0
+
+
+@pytest.mark.parametrize("reordered", [False, True], ids=["ising", "reordered"])
+def test_the_kraus_factors_are_k_k_dagger_with_the_draw_weights_on_the_diagonal(reordered):
+    model, charges = (_reordered_ising(), (0, 1)) if reordered else (ising(), (I, PSI))
+    labels = tuple((a, a, 0) for a in charges)
+    factors = _kraus(model, labels)
+    for f, k in zip(factors, kraus_diagonals(model, charges)):
+        # bit for bit the weights sample_twisted draws with
+        assert np.diagonal(f).tobytes() == (np.abs(k) ** 2).astype(complex).tobytes()
+        assert np.max(np.abs(f - np.outer(k, k.conj()))) <= 1e-16
 
 
 def _assert_matches_kraus_product(rho):
-    for outcome, kraus in zip(("I", "psi"), _kraus(ising(), rho.labels)):
+    for outcome, kraus in zip(("I", "psi"), kraus_diagonals()):
         probability, updated = oracles.kraus_product(np.diag(kraus), rho.matrix)
         pr, post = twisted_measure(rho, outcome)
-        assert pr == probability
-        # == holds bit for bit except on signed zeros, whose sign in the product follows its summation order
-        assert np.array_equal(post.matrix, updated / probability)
+        # the entrywise rule multiplies rho_ij by k_i conj(k_j), the matrix product k_i rho_ij by conj(k_j)
+        assert abs(pr - probability) <= 1e-15
+        assert np.max(np.abs(post.matrix - updated / probability)) <= 1e-15
         assert post.labels == rho.labels
 
 
@@ -167,7 +186,7 @@ def test_sampled_outcome_is_the_stream_draw():
     for seed in range(2000):
         rho = states[seed % len(states)]
         u = rng.generator(seed).random()
-        probability, _ = oracles.kraus_product(np.diag(_kraus(ising(), rho.labels)[0]), rho.matrix)
+        probability, _ = oracles.kraus_product(np.diag(kraus_diagonals()[0]), rho.matrix)
         outcome, post = sample_twisted(rho, seed)
         assert outcome == ("I" if u < probability else "psi")
         assert post.matrix.tobytes() == twisted_measure(rho, outcome)[1].matrix.tobytes()

@@ -19,8 +19,10 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import oracles
 from topoprobe.cli import main
 
 # name -> (argv without --out, config file payload or None)
@@ -87,11 +89,11 @@ GOLDEN = {
         "stdout": "2c88dfa45e7993d6738f9fb93290c74f9b8273bd43ad85ab1950317fd20d911c",
     },
     "twisted-default": {
-        "twisted.json": "0022e50d48716334c816e5b1f7302503bbd494e4239e2194b7dd33030cc2f521",
+        "twisted.json": "743d113c797f619259265648a9789feaa07207d0291c98d6ae5018705e73188b",
         "stdout": "788d40f455fff6322a0ddcd55574992ff8ee9060f17deaeff450917e77defb67",
     },
     "twisted-complex": {
-        "twisted.json": "91376b380793e01920a3b5cf982185b061515d926a6e0508e714cfecbf1fc1bb",
+        "twisted.json": "b8a8c7c8ad2bc97443c5a682da7d2e0311613b2f30b403383451bd9f6d19e5e9",
         "stdout": "1413446ad4c66c625f5db60c31ecf81110f5a8a58b2d0581f23e87062a67b7fe",
     },
     "protocol": {
@@ -159,3 +161,20 @@ def test_cli_run_matches_its_golden_digests(tmp_path, name):
     code, digests = run_case(name, tmp_path)
     assert code == 0
     assert digests == GOLDEN[name]
+
+
+def _complex_matrix(rows):
+    return np.array([[complex(re, im) for re, im in row] for row in rows])
+
+
+@pytest.mark.parametrize("name", ["twisted-default", "twisted-complex"])
+def test_the_golden_twisted_runs_match_the_closed_form(tmp_path, name):
+    code, _ = run_case(name, tmp_path)
+    assert code == 0
+    payload = json.loads((tmp_path / name / "out" / "twisted.json").read_text())
+    rho = _complex_matrix(payload["initial"])
+    for outcome, vacuum in (("I", True), ("psi", False)):
+        probability, state = oracles.twisted_closed_form(rho, vacuum)
+        written = payload["conditioned"][outcome]
+        assert abs(written["probability"] - probability) <= 1e-15
+        assert np.max(np.abs(_complex_matrix(written["state"]) - state)) <= 1e-15

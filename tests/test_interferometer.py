@@ -20,6 +20,7 @@ from topoprobe import (
     ZeroProbability,
     apply_probe,
     asymptotic_measure,
+    build_model,
     density_matrix,
     equivalence_classes,
     fixed_state,
@@ -28,6 +29,7 @@ from topoprobe import (
     p_factor,
     simulate_stream,
 )
+from topoprobe.interferometer import _STREAM_CHUNK, _coherence, _conditioned_states, _factors
 
 I, SIGMA, PSI = 0, 1, 2
 QUBIT_LABELS = ((I, I, I), (PSI, PSI, I))
@@ -262,6 +264,23 @@ def test_conditioning_on_an_impossible_outcome_fails():
         apply_probe(ising(), rho, sigma_config(), ProbeOutcome.TRANSMITTED)
 
 
+def test_the_symmetric_splitters_negative_factor_never_yields_a_negative_probability():
+    # rounding leaves the factor that should be 0 at -2**-54: diag P_t = (1, -5.55e-17), P_r the reverse
+    p_t, p_r = _factors(ising(), QUBIT_LABELS, sigma_config())
+    assert np.diagonal(p_t)[1] == np.diagonal(p_r)[0] == -2.0**-54
+    assert np.diagonal(p_t)[0] == np.diagonal(p_r)[1] == pytest.approx(1.0, abs=1e-15)
+    rho = qubit_state(0.5, 0.5, 0.5)
+    for seed in range(4):
+        run = simulate_stream(ising(), rho, sigma_config(), 1200, seed)
+        assert all(0.0 < p <= 1.0 for p in run.probabilities)
+    for outcome, impossible in ((ProbeOutcome.TRANSMITTED, ProbeOutcome.REFLECTED),
+                                (ProbeOutcome.REFLECTED, ProbeOutcome.TRANSMITTED)):
+        _, collapsed = apply_probe(ising(), rho, sigma_config(), outcome)
+        for state in (collapsed, qubit_state(*((1.0, 0.0) if outcome is ProbeOutcome.TRANSMITTED else (0.0, 1.0)))):
+            with pytest.raises(ZeroProbability, match=impossible.value):
+                apply_probe(ising(), state, sigma_config(), impossible)
+
+
 def test_fermion_probe_cannot_see_the_qubit():
     # monodromy with the fermion is 1 on the whole qubit sector, so the
     # state passes through unchanged for either outcome
@@ -291,6 +310,36 @@ def test_sigma_diagonal_pair_needs_an_unsupported_recoupling(run):
         run(rho)
 
 
+def _z3_state():
+    z3 = build_model(oracles.model_description(oracles.zn_data(3, 1)))
+    return density_matrix(z3, ((0, 0, 0), (2, 1, 0)), np.full((2, 2), 0.5))
+
+
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda model, rho, config: apply_probe(model, rho, config, ProbeOutcome.TRANSMITTED),
+                 id="apply_probe"),
+    pytest.param(lambda model, rho, config: simulate_stream(model, rho, config, 5, seed=0),
+                 id="simulate_stream"),
+    pytest.param(lambda model, rho, config: fixed_state(
+        model, rho, equivalence_classes(model, config.probe, config).classes[0]), id="fixed_state"),
+    pytest.param(lambda model, rho, config: asymptotic_measure(model, rho, config),
+                 id="asymptotic_measure"),
+    pytest.param(lambda model, rho, config: outcome_distribution(model, rho, config, 5),
+                 id="outcome_distribution"),
+])
+@pytest.mark.parametrize("case", ["z3-as-ising", "ising-as-fibonacci"])
+def test_the_channel_refuses_another_models_state(run, case, fibonacci):
+    # the labels index the state's own charges: read as Ising, the Z_3 state gets Ising's numbers,
+    # and the Ising qubit's psi line is no Fibonacci charge at all
+    if case == "z3-as-ising":
+        model, rho = ising(), _z3_state()
+    else:
+        model, rho = fibonacci, qubit_state(0.5, 0.5, 0.5)
+    config = InterferometerConfig(probe=1, theta_I=0.4)
+    with pytest.raises(ValueError, match="another model"):
+        run(model, rho, config)
+
+
 def test_bare_sigma_target_transmits_evenly():
     labels = ((SIGMA, I, SIGMA),)
     rho = density_matrix(ising(), labels, np.eye(1, dtype=complex))
@@ -318,14 +367,12 @@ def test_streams_are_reproducible():
 def test_stream_bookkeeping_is_consistent():
     rho = qubit_state(0.5, 0.5, 0.5)
     config = sigma_config(delta=math.pi / 3.0)
-    run = simulate_stream(ising(), rho, config, 60, seed=3, keep_states=True)
+    run = simulate_stream(ising(), rho, config, 60, seed=3)
     assert len(run.outcomes) == len(run.probabilities) == len(run.coherences) == 60
-    assert run.states is not None and len(run.states) == 60
     counted = sum(1 for s in run.outcomes if s is ProbeOutcome.TRANSMITTED)
     assert run.n_transmitted == counted
     assert run.fraction == pytest.approx(counted / 60.0)
     assert all(0.0 < p <= 1.0 for p in run.probabilities)
-    assert np.array_equal(run.states[-1].matrix, run.final_state.matrix)
     assert run.coherences[-1] == run.final_state.coherence()
 
 
@@ -493,15 +540,22 @@ def test_kept_states_match_chained_single_probes(case, semion):
     else:
         model, rho = semion, _semion_qubit(semion)
         config = InterferometerConfig(probe=1, theta_I=0.9)
-    run = simulate_stream(model, rho, config, n_probes, seed=5, keep_states=True)
-    assert len(run.states) == n_probes
+    run = simulate_stream(model, rho, config, n_probes, seed=5)
+    # the stream's state after every probe, from its closed form in the stream's own chunks
+    n_t = np.cumsum([s is ProbeOutcome.TRANSMITTED for s in run.outcomes])
+    n_r = np.arange(1, n_probes + 1) - n_t
+    factors = _factors(model, rho.labels, config)
+    rows = np.concatenate([
+        _conditioned_states(rho.matrix, *factors, n_t[k:k + _STREAM_CHUNK], n_r[k:k + _STREAM_CHUNK])
+        for k in range(0, n_probes, _STREAM_CHUNK)
+    ])
     state = rho
     for k, outcome in enumerate(run.outcomes):
         probability, state = apply_probe(model, state, config, outcome)
         assert run.probabilities[k] == pytest.approx(probability, abs=1e-12)
-        assert _relative_gap(run.states[k].matrix, state.matrix) <= 1e-12
-        assert run.coherences[k] == run.states[k].coherence()
-    assert np.array_equal(run.final_state.matrix, run.states[-1].matrix)
+        assert _relative_gap(rows[k], state.matrix) <= 1e-12
+        assert run.coherences[k] == _coherence(rows[k])
+    assert np.array_equal(run.final_state.matrix, rows[-1])
     if case == "symmetric":
         assert len(set(run.outcomes[1:])) == 1
         assert set(run.probabilities[1:]) == {1.0}
